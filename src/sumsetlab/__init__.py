@@ -45,7 +45,6 @@ from .pattern import (
     is_top,
     make_string,
     star,
-    substitute,
 )
 from .pipeline2 import Case, Pipeline2Certificate, Pipeline2Failure, case_of, construct2
 from .pipeline_r import (
@@ -78,6 +77,5 @@ from .search import (
     ThresholdRecord,
     find_bad_coloring,
     has_mono_sumset,
-    spot_check_forced,
     threshold_scan,
 )

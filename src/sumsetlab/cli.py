@@ -243,6 +243,8 @@ def _recheck_construct2(payload: dict) -> None:
     top = payload["top"]
     rho = tuple(payload["rho"])
     case = Case(payload["case"])
+    if len(members) != config["m"]:
+        raise ValueError(f"A has {len(members)} entries, config says m={config['m']}")
     if case_of(*rho) is not case:
         raise _Unsound(f"case {case.value} does not match rho={rho}")
     xs = _case_witnesses(case, members, top, config["m"])
@@ -253,7 +255,8 @@ def _recheck_construct2(payload: dict) -> None:
 
 def _recheck_construct_r(payload: dict) -> None:
     config = payload["config"]
-    oracle = make_oracle(config["oracle"], config["r"])
+    r = config["r"]
+    oracle = make_oracle(config["oracle"], r)
     families = FamilySystem(
         families=tuple(
             IndexFamily(members=tuple(f["members"]), top=f["top"])
@@ -262,6 +265,10 @@ def _recheck_construct_r(payload: dict) -> None:
     )
     rho_levels = tuple(payload["rho_levels"])
     l_prime, l = payload["l_prime"], payload["l"]
+    if not 0 <= l_prime < l <= r:
+        raise ValueError(f"need 0 <= l' < l <= {r}, got l'={l_prime}, l={l}")
+    if len(rho_levels) != r + 1:
+        raise ValueError(f"rho_levels needs {r + 1} entries, got {len(rho_levels)}")
     if rho_levels[l_prime] != rho_levels[l] or rho_levels[l] != payload["rho"]:
         raise _Unsound(f"rho={payload['rho']} does not match the level constants")
     xs, _, _ = witness_vectors(families, l_prime, l, len(payload["X"]))
@@ -283,8 +290,13 @@ def _recheck_sums(oracle, payload: dict, rho: int) -> None:
 
 def _recheck_ramsey(payload: dict) -> None:
     config = payload["config"]
-    oracle = make_oracle(config["oracle"], config["r"])
-    coloring = derived_tuple_colorings(oracle, config["n"])[payload["level"]]
+    r, level = config["r"], payload["level"]
+    oracle = make_oracle(config["oracle"], r)
+    if not 0 <= level <= r:
+        raise ValueError(f"level {level} out of range for r={r}")
+    coloring = derived_tuple_colorings(oracle, config["n"])[level]
+    if payload["arity"] != coloring.arity:
+        raise _Unsound(f"arity {payload['arity']} is not r + level = {coloring.arity}")
     points = sorted(payload["members"])
     if payload["top"] is not None:
         points.append(payload["top"])

@@ -9,6 +9,11 @@ tables (lookup-table in memory, external-table-file on disk, both strict
 about unmapped vectors), a constant oracle, and a wrapper that forces
 invariance under order isomorphisms of the coordinate indices.
 
+Oracles are stateless: color keeps nothing between calls, so a repeated
+query recomputes its answer.  The pipelines color index tuples, not
+vectors, and the only cache is TupleColoring's, keyed by index tuple.
+derived is the single place where a level tuple becomes a vector.
+
 verify_witness is the soundness gate shared by both construction pipelines:
 given a finite witness set X it evaluates the oracle on every pairwise sum
 (doubles included) and either certifies a single color or names two sums
@@ -49,18 +54,14 @@ class ColoringOracle:
             raise ValueError(f"color count must be a positive integer, got {r!r}")
         self.r = r
         self.kind = kind
-        self._memo: dict[QVec, int] = {}
 
     def color(self, v: QVec) -> int:
         if not isinstance(v, QVec):
             raise TypeError(f"expected a QVec, got {type(v).__name__}")
-        cached = self._memo.get(v)
-        if cached is None:
-            cached = self._color_impl(v)
-            if not 0 <= cached < self.r:
-                raise RuntimeError(f"{self.kind} produced out-of-range color {cached}")
-            self._memo[v] = cached
-        return cached
+        c = self._color_impl(v)
+        if not 0 <= c < self.r:
+            raise RuntimeError(f"{self.kind} produced out-of-range color {c}")
+        return c
 
     def _color_impl(self, v: QVec) -> int:
         raise NotImplementedError
@@ -231,27 +232,12 @@ def level_pattern_table(r: int, profile: Sequence[int]) -> dict[str, int]:
     return table
 
 
-@dataclass(frozen=True)
-class DerivedColoring:
-    """d_l: the oracle pulled back along star with the level-l string."""
-
-    oracle: ColoringOracle
-    l: int
-
-    @property
-    def arity(self) -> int:
-        return self.oracle.r + self.l
-
-    def __call__(self, indices: Sequence[int]) -> int:
-        return derived(self.oracle, self.l, indices)
-
-
 def derived(oracle: ColoringOracle, l: int, indices: Sequence[int]) -> int:
-    """Color of the level-l pattern placed on the given index set."""
-    s = make_string(oracle.r, l)
-    if len(indices) != len(s):
-        raise ValueError(f"level {l} needs {len(s)} indices, got {len(indices)}")
-    return oracle.color(star(s, indices))
+    """d_l: color of the level-l pattern placed on the given index set.
+
+    star rejects an index set whose length is not r + l.
+    """
+    return oracle.color(star(make_string(oracle.r, l), indices))
 
 
 @dataclass(frozen=True)

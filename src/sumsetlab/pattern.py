@@ -75,10 +75,6 @@ def is_top(position: Position) -> bool:
     return isinstance(position, _TopType)
 
 
-def position_sort_key(position: Position) -> tuple[int, int]:
-    return (1, 0) if is_top(position) else (0, position)
-
-
 @dataclass(frozen=True)
 class PatternString:
     """String of nonzero values used by the star operation; s_l = 2^(2l) 4^(r-l)."""
@@ -300,60 +296,3 @@ def is_l_canonical(
                     f"max finite unprimed position {bound}",
                 )
     return True, "ok"
-
-
-def _substitute_plain(entries: Sequence[int], frm: Sequence[int], to: Sequence[int]) -> tuple[int, ...]:
-    if len(frm) != len(to):
-        raise ValueError("replacement lists must have equal length")
-    mapping = dict(zip(frm, to))
-    for old in frm:
-        if old not in entries:
-            raise ValueError(f"entry {old} does not occur in the tuple")
-    replaced = [mapping.get(e, e) for e in entries]
-    if len(set(replaced)) != len(replaced):
-        raise ValueError(f"substitution collapses entries: {replaced!r}")
-    return tuple(sorted(replaced))
-
-
-def substitute(
-    t: Union[CanonicalTuple, Sequence[int]],
-    frm: Sequence[int],
-    to: Sequence[int],
-    families: Sequence[IndexFamily] | None = None,
-):
-    """Simultaneously replace coordinate indices, re-sorting the result.
-
-    Plain index tuples come back as sorted tuples.  Canonical tuples keep
-    their block structure: each replacement must stay inside the block's own
-    family (pass the families so positions can be recomputed).
-    """
-    if not isinstance(t, CanonicalTuple):
-        return _substitute_plain(tuple(t), frm, to)
-    if families is None:
-        raise ValueError("substituting in a canonical tuple requires the families")
-    if len(frm) != len(to):
-        raise ValueError("replacement lists must have equal length")
-    mapping = dict(zip(frm, to))
-    for old in frm:
-        if old not in t.entries:
-            raise ValueError(f"entry {old} does not occur in the tuple")
-    new_blocks = []
-    new_index: list[Position] = []
-    new_primed: list[Position] = []
-    for k, block in enumerate(t.blocks):
-        family = families[k]
-        replaced = tuple(sorted(mapping.get(e, e) for e in block))
-        if len(set(replaced)) != len(replaced):
-            raise ValueError(f"substitution collapses block {k}: {replaced!r}")
-        for entry in replaced:
-            if entry not in family:
-                raise ValueError(f"replacement {entry} leaves family {k}")
-        new_blocks.append(replaced)
-        if k < t.l:
-            new_index.append(family.position_of(replaced[0]))
-            new_primed.append(family.position_of(replaced[1]))
-        else:
-            new_index.append(family.position_of(replaced[0]))
-    return CanonicalTuple(
-        l=t.l, index=tuple(new_index), primed=tuple(new_primed), blocks=tuple(new_blocks)
-    )

@@ -17,6 +17,9 @@ symbolically for every emitted pair, and verify_witness then re-colors
 every sum from scratch.  Note the CASE3 string is s_1, the length-3 string
 (2, 2, 4): halving it doubles back to s_1 itself on the same three indices,
 while cross sums fill out s_2 on four indices.
+
+Each d_l is a TupleColoring over oracle.derived, the single place where a
+level tuple becomes a vector; its index-tuple memo is the only cache.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .oracle import ColoringOracle, WitnessCertificate, verify_witness
+from .oracle import ColoringOracle, WitnessCertificate, derived, verify_witness
 from .pattern import make_string, star
 from .qvec import QVec
 from .ramsey import HomogeneousSet, NoHomogeneousSet, TupleColoring, multi_homogeneous
@@ -90,19 +93,16 @@ class Pipeline2Failure:
 
 def derived_tuple_colorings(oracle: ColoringOracle, universe: int) -> list[TupleColoring]:
     """The r + 1 derived colorings d_0 .. d_r as tuple colorings over range(universe)."""
-    colorings = []
-    for l in range(oracle.r + 1):
-        s = make_string(oracle.r, l)
-        colorings.append(
-            TupleColoring(
-                arity=len(s),
-                colors=oracle.r,
-                universe=universe,
-                evaluate=lambda tup, s=s: oracle.color(star(s, tup)),
-                name=f"d_{l}",
-            )
+    return [
+        TupleColoring(
+            arity=oracle.r + l,
+            colors=oracle.r,
+            universe=universe,
+            evaluate=lambda tup, l=l: derived(oracle, l, tup),
+            name=f"d_{l}",
         )
-    return colorings
+        for l in range(oracle.r + 1)
+    ]
 
 
 def _case_witnesses(case: Case, members: tuple[int, ...], top: int, m: int) -> list[QVec]:

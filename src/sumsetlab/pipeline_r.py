@@ -23,6 +23,9 @@ halved level-l' pattern on a_i doubles back onto a level-l' tuple while
 cross sums fill a level-l tuple, so every pairwise sum is colored by the
 shared constant.  All identities are re-derived exactly and verify_witness
 re-colors every sum before a certificate is issued.
+
+Every level tuple is colored through oracle.derived, the single place
+where a level tuple becomes a vector.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .oracle import ColoringOracle, WitnessCertificate, verify_witness
+from .oracle import ColoringOracle, WitnessCertificate, derived, verify_witness
 from .pattern import (
     TOP,
     CanonicalTuple,
@@ -178,22 +181,6 @@ def iter_canonical_tuples(
             yield canonical_tuple(families, l, index, primed)
 
 
-def level_color(oracle: ColoringOracle, sys: FamilySystem, t: CanonicalTuple) -> int:
-    """Color of the derived coloring d_l on the tuple's entries."""
-    return oracle.color(star(make_string(sys.r, t.l), t.entries))
-
-
-def _substituted_color(
-    oracle: ColoringOracle, sys: FamilySystem, t: CanonicalTuple, j: int, position: int
-) -> int:
-    """Color after trading family j's top for its member at the position."""
-    family = sys.families[j]
-    entries = tuple(
-        family.members[position] if e == family.top else e for e in t.entries
-    )
-    return oracle.color(star(make_string(sys.r, t.l), entries))
-
-
 @dataclass(frozen=True)
 class LevelReport:
     level: int
@@ -230,7 +217,7 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
         count = 0
         for t in iter_canonical_tuples(sys.families, l, index_strict=True):
             count += 1
-            c = level_color(oracle, sys, t)
+            c = derived(oracle, l, t.entries)
             if first is None:
                 first = (t, c)
             elif c != first[1] and counterexample is None:
@@ -270,8 +257,8 @@ def verify_saturation(oracle: ColoringOracle, sys: FamilySystem):
     for l in range(sys.r + 1):
         for t in iter_canonical_tuples(sys.families, l, index_strict=True):
             sat = saturated(sys, t)
-            c_t = level_color(oracle, sys, t)
-            c_sat = level_color(oracle, sys, sat)
+            c_t = derived(oracle, l, t.entries)
+            c_sat = derived(oracle, l, sat.entries)
             if c_t != c_sat:
                 return (l, t, c_t, sat, c_sat)
     return None
@@ -310,11 +297,14 @@ def replacement_search(
         for l in range(sys.r + 1)
         for t in iter_canonical_tuples(sys.families, l, pools=pools, containing_top_of=j)
     ]
+    family = sys.families[j]
     tried = 0
     for candidate in range(floor + 1, sys.member_count):
         tried += 1
+        member = family.members[candidate]
         if all(
-            level_color(oracle, sys, t) == _substituted_color(oracle, sys, t, j, candidate)
+            derived(oracle, t.l, t.entries)
+            == derived(oracle, t.l, tuple(member if e == family.top else e for e in t.entries))
             for t in constraints
         ):
             return candidate
@@ -396,11 +386,6 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
     positions = list(range(sys.member_count))
     rho: list[int] = []
     for l in range(r + 1):
-        if l == 0:
-            tops = tuple(f.top for f in sys.families)
-            rho.append(oracle.color(star(make_string(r, 0), tops)))
-            continue
-
         def saturated_color(index_vector: tuple[int, ...], l=l) -> int:
             entries = []
             for k, family in enumerate(sys.families):
@@ -408,7 +393,7 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
                     entries.extend((family.members[index_vector[k]], family.top))
                 else:
                     entries.append(family.top)
-            return oracle.color(star(make_string(r, l), tuple(entries)))
+            return derived(oracle, l, entries)
 
         g = TupleColoring(
             arity=l, colors=oracle.r, universe=sys.member_count, evaluate=saturated_color

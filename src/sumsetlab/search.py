@@ -28,7 +28,6 @@ mean the X-range convention was broken somewhere.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from multiprocessing import get_context
@@ -462,20 +461,6 @@ class _ScanCheckpoint:
 
     def _write(self) -> None:
         self.path.write_text(json.dumps(self.state, sort_keys=True, indent=2) + "\n")
-
-
-def spot_check_forced(
-    k: int, r: int, M: int, samples: int, seed: int, x_max: int | None = None
-) -> bool:
-    """Random colorings must all admit a witness when M is FORCED."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        coloring = NatColoring(
-            r=r, colors=tuple(rng.randrange(r) for _ in range(M))
-        )
-        if has_mono_sumset(coloring, k, x_max=x_max) is None:
-            return False
-    return True
 
 
 def write_csv(

@@ -325,6 +325,19 @@ def rewrite(path, mutate):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+MALFORMED, UNSOUND = "malformed certificate", "certificate unsound"
+
+
+def assert_verify_rejects(cert, capsys, cases):
+    """Each (mutation, exit code, stderr prefix) is applied to a fresh copy."""
+    original = cert.read_text()
+    for mutate, code, message in cases:
+        cert.write_text(original)
+        rewrite(cert, mutate)
+        assert main(["verify", str(cert)]) == code, message
+        assert capsys.readouterr().err.startswith(message)
+
+
 def test_verify_rejects_tampered_sum_color(construct2_cert, capsys):
     rewrite(construct2_cert, lambda p: p["sums"][0].update(color=1 - p["sums"][0]["color"]))
     assert main(["verify", str(construct2_cert)]) == EXIT_VERIFY
@@ -345,29 +358,39 @@ def test_verify_rejects_tampered_witness_set(construct2_cert):
 
 
 def test_verify_missing_key_is_malformed(construct2_cert, capsys):
-    rewrite(construct2_cert, lambda p: p.pop("sums"))
-    assert main(["verify", str(construct2_cert)]) == EXIT_USAGE
-    assert "malformed certificate" in capsys.readouterr().err
+    assert_verify_rejects(construct2_cert, capsys, [
+        (lambda p: p.pop("sums"), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(A=p["A"][:2]), EXIT_USAGE, MALFORMED),
+    ])
 
 
-def test_verify_rejects_tampered_construct_r(tmp_path):
+def test_verify_rejects_tampered_construct_r(tmp_path, capsys):
     cert = tmp_path / "cr.json"
     run_ok(
         ["construct-r", "--oracle", "four-count", "--r", "2", "--n", "12", "--m", "4",
          "--out", str(cert)]
     )
-    rewrite(cert, lambda p: p.update(rho_levels=[1, 1, 0]))
-    assert main(["verify", str(cert)]) == EXIT_VERIFY
+    assert_verify_rejects(cert, capsys, [
+        (lambda p: p.update(rho_levels=[1, 1, 0]), EXIT_VERIFY, UNSOUND),
+        (lambda p: p.update(l_prime=9), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(l_prime=-1), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(l=9), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(rho_levels=[0, 1]), EXIT_USAGE, MALFORMED),
+    ])
 
 
-def test_verify_rejects_tampered_ramsey_color(tmp_path):
+def test_verify_rejects_tampered_ramsey_color(tmp_path, capsys):
     cert = tmp_path / "ram.json"
     run_ok(
         ["ramsey", "--oracle", "four-count", "--r", "2", "--level", "1", "--n", "8",
          "--m", "3", "--out", str(cert)]
     )
-    rewrite(cert, lambda p: p.update(color=0))
-    assert main(["verify", str(cert)]) == EXIT_VERIFY
+    assert_verify_rejects(cert, capsys, [
+        (lambda p: p.update(color=0), EXIT_VERIFY, UNSOUND),
+        (lambda p: p.update(arity=4), EXIT_VERIFY, UNSOUND),
+        (lambda p: p.update(level=7), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(level=-1, color=0), EXIT_USAGE, MALFORMED),
+    ])
 
 
 def test_verify_unknown_or_broken_files(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Coloring oracles: built-in kinds, descriptors, derived colorings, witnesses."""
 
+import copy
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,6 @@ from sumsetlab.deltasys import order_iso, relabel
 from sumsetlab.oracle import (
     ColoringOracle,
     ConstantOracle,
-    DerivedColoring,
     FloorSumOracle,
     FourCountOracle,
     LookupTableOracle,
@@ -122,11 +122,26 @@ def test_derived_agrees_with_direct_star_recomputation():
         for r in range(1, 5):
             o = make_oracle(descriptor, r)
             for l in range(r + 1):
-                coloring = DerivedColoring(o, l)
-                assert coloring.arity == r + l
                 for tup in combinations(range(10), r + l):
                     expected = o.color(star(make_string(r, l), tup))
-                    assert coloring(tup) == expected
+                    assert derived(o, l, tup) == expected
+
+
+def _state(oracle):
+    return {
+        key: _state(value) if isinstance(value, ColoringOracle) else copy.deepcopy(value)
+        for key, value in vars(oracle).items()
+    }
+
+
+def test_oracles_are_stateless():
+    vectors = [QVec({i: 2, j: 4}) for i, j in combinations(range(80), 2)]
+    for descriptor in ("seeded-hash:3", "order-invariant-wrapper:seeded-hash:3"):
+        o = make_oracle(descriptor, 3)
+        before = _state(o)
+        colors = [o.color(v) for v in vectors]
+        assert _state(o) == before
+        assert [o.color(v) for v in vectors] == colors
 
 
 def test_lookup_table_is_strict_about_unmapped_vectors():

@@ -1,4 +1,4 @@
-"""String family, star operation, canonical tuples, and substitution."""
+"""String family, star operation, and canonical tuples."""
 
 import pytest
 from hypothesis import given
@@ -14,9 +14,7 @@ from sumsetlab.pattern import (
     is_l_canonical,
     is_top,
     make_string,
-    position_sort_key,
     star,
-    substitute,
 )
 from sumsetlab.qvec import QVec
 
@@ -83,7 +81,6 @@ def test_top_compares_above_every_natural():
     assert TOP <= TOP and TOP >= TOP
     assert not TOP < TOP and not TOP > TOP
     assert is_top(TOP) and not is_top(3)
-    assert position_sort_key(TOP) > position_sort_key(10**9)
 
 
 def test_index_strict_increase_examples():
@@ -142,27 +139,6 @@ def test_canonicality_rejects_wrong_block_shape():
     ok, _ = is_l_canonical(t, fams, 1)
     assert ok
     assert is_l_canonical(t, fams, 0) == (False, "tuple has level 1, expected 0")
-
-
-def test_substitute_plain_tuples():
-    assert substitute((2, 5, 9), (9,), (11,)) == (2, 5, 11)
-    assert substitute((2, 5, 9), (2, 9), (1, 10)) == (1, 5, 10)
-    with pytest.raises(ValueError):
-        substitute((2, 5), (7,), (8,))
-    with pytest.raises(ValueError):
-        substitute((2, 5), (2,), (5,))
-
-
-def test_substitute_canonical_tuple_recomputes_positions():
-    fams = families3[:2]
-    t = canonical_tuple(fams, 1, index=(0, 1), primed=(TOP,))
-    swapped = substitute(t, (5,), (3,), families=fams)
-    assert swapped.blocks == ((0, 3), (7,))
-    assert swapped.primed == (3,)
-    with pytest.raises(ValueError):
-        substitute(t, (5,), (99,), families=fams)
-    with pytest.raises(ValueError):
-        substitute(t, (5,), (3,))
 
 
 def test_entries_flatten_blocks_in_family_order():

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from conftest import PositionCutOracle, PrimedTopOracle, profile_oracle
-from sumsetlab.oracle import WitnessCertificate, make_oracle, verify_witness
+from sumsetlab.oracle import WitnessCertificate, derived, make_oracle, verify_witness
 from sumsetlab.pattern import (
     TOP,
     IndexFamily,
@@ -37,7 +37,6 @@ from sumsetlab.pipeline_r import (
     iter_canonical_tuples,
     last_step,
     layout_families,
-    level_color,
     make_witness_tuples,
     pigeonhole_pair,
     replacement_search,
@@ -223,7 +222,7 @@ def test_level_color_is_star_of_pattern():
     oracle = make_oracle("four-count", 2)
     t = canonical_tuple(sys0.families, 1, (0, TOP), (2,))
     direct = oracle.color(star(make_string(2, 1), t.entries))
-    assert level_color(oracle, sys0, t) == direct
+    assert derived(oracle, t.l, t.entries) == direct
 
 
 def test_check_levels_four_count():
@@ -250,8 +249,8 @@ def test_check_levels_counterexample_recolors():
     lvl = report.levels[1]
     t_a, c_a, t_b, c_b = lvl.counterexample
     assert c_a != c_b
-    assert level_color(oracle, sys0, t_a) == c_a
-    assert level_color(oracle, sys0, t_b) == c_b
+    assert derived(oracle, t_a.l, t_a.entries) == c_a
+    assert derived(oracle, t_b.l, t_b.entries) == c_b
     with pytest.raises(ValueError):
         report.colors
 
@@ -286,8 +285,8 @@ def test_verify_saturation_reports_first_violation():
     assert (t.index, t.primed) == ((0, 1), (2,))
     assert (c_t, c_sat) == (0, 1)
     assert sat == saturated(sys0, t)
-    assert level_color(oracle, sys0, t) == c_t
-    assert level_color(oracle, sys0, sat) == c_sat
+    assert derived(oracle, t.l, t.entries) == c_t
+    assert derived(oracle, sat.l, sat.entries) == c_sat
 
 
 # ---------------------------------------------------------------------------

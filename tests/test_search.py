@@ -26,7 +26,6 @@ from sumsetlab.search import (
     _task_prefixes,
     find_bad_coloring,
     has_mono_sumset,
-    spot_check_forced,
     threshold_scan,
     write_csv,
 )
@@ -267,12 +266,6 @@ def test_threshold_scan_validation():
         threshold_scan(2, 2, 4, workers=0)
     with pytest.raises(ValueError):
         threshold_scan(2, 2, 4, workers=2, checkpoint_path="/tmp/nope.json")
-
-
-def test_spot_check_forced():
-    assert spot_check_forced(2, 2, LEAST_FORCED_M, samples=500, seed=0)
-    # at M = 4 most colorings are bad, so sampling disproves FORCED fast
-    assert not spot_check_forced(2, 2, 4, samples=50, seed=0)
 
 
 # ---------------------------------------------------------------------------
