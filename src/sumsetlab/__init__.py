@@ -44,6 +44,7 @@ from .pattern import (
     is_l_canonical,
     is_top,
     make_string,
+    pigeonhole_pair,
     star,
 )
 from .pipeline2 import Case, Pipeline2Certificate, Pipeline2Failure, case_of, construct2
@@ -55,13 +56,12 @@ from .pipeline_r import (
     construct_r,
     layout_families,
     make_witness_tuples,
-    pigeonhole_pair,
     replacement_search,
     shrink,
     system_from_universe,
     verify_saturation,
 )
-from .qvec import QVec, add, scale, sumset
+from .qvec import QVec, sumset
 from .ramsey import (
     HomogeneousSet,
     NoHomogeneousSet,

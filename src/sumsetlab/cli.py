@@ -20,24 +20,9 @@ from itertools import combinations
 from pathlib import Path
 
 from .deltasys import SupportAssignment, check_cl3, check_cl4, generate_canonical
-from .oracle import make_oracle
-from .pattern import IndexFamily
-from .pipeline2 import (
-    Case,
-    Pipeline2Certificate,
-    _case_color,
-    _case_witnesses,
-    case_of,
-    construct2,
-    derived_tuple_colorings,
-)
-from .pipeline_r import (
-    FamilySystem,
-    PipelineRCertificate,
-    construct_r,
-    witness_vectors,
-)
-from .qvec import QVec, sumset
+from .oracle import UnsoundCertificate, check_points, make_oracle
+from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
+from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import HomogeneousSet, brute_homogeneous, greedy_end_homogeneous
 from .search import threshold_scan, write_csv
 
@@ -236,82 +221,29 @@ def cmd_deltasys(args) -> int:
     return EXIT_VERIFY
 
 
-def _recheck_construct2(payload: dict) -> None:
-    config = payload["config"]
-    oracle = make_oracle(config["oracle"], 2)
-    members = tuple(payload["A"])
-    top = payload["top"]
-    rho = tuple(payload["rho"])
-    case = Case(payload["case"])
-    if len(members) != config["m"]:
-        raise ValueError(f"A has {len(members)} entries, config says m={config['m']}")
-    if case_of(*rho) is not case:
-        raise _Unsound(f"case {case.value} does not match rho={rho}")
-    xs = _case_witnesses(case, members, top, config["m"])
-    if sorted(x.serialize() for x in xs) != payload["X"]:
-        raise _Unsound("stored X differs from the case formulas on A")
-    _recheck_sums(oracle, payload, _case_color(case, rho))
-
-
-def _recheck_construct_r(payload: dict) -> None:
-    config = payload["config"]
-    r = config["r"]
-    oracle = make_oracle(config["oracle"], r)
-    families = FamilySystem(
-        families=tuple(
-            IndexFamily(members=tuple(f["members"]), top=f["top"])
-            for f in payload["families"]
-        )
-    )
-    rho_levels = tuple(payload["rho_levels"])
-    l_prime, l = payload["l_prime"], payload["l"]
-    if not 0 <= l_prime < l <= r:
-        raise ValueError(f"need 0 <= l' < l <= {r}, got l'={l_prime}, l={l}")
-    if len(rho_levels) != r + 1:
-        raise ValueError(f"rho_levels needs {r + 1} entries, got {len(rho_levels)}")
-    if rho_levels[l_prime] != rho_levels[l] or rho_levels[l] != payload["rho"]:
-        raise _Unsound(f"rho={payload['rho']} does not match the level constants")
-    xs, _, _ = witness_vectors(families, l_prime, l, len(payload["X"]))
-    if sorted(x.serialize() for x in xs) != payload["X"]:
-        raise _Unsound("stored X differs from the witness frames on the families")
-    _recheck_sums(oracle, payload, payload["rho"])
-
-
-def _recheck_sums(oracle, payload: dict, rho: int) -> None:
-    xs = [QVec.parse(text) for text in payload["X"]]
-    sums = sorted(sumset(xs), key=QVec.serialize)
-    recomputed = [{"vector": v.serialize(), "color": oracle.color(v)} for v in sums]
-    if recomputed != payload["sums"]:
-        raise _Unsound("stored sum table differs from a fresh evaluation")
-    colors = {entry["color"] for entry in recomputed}
-    if colors != {rho}:
-        raise _Unsound(f"sum colors {sorted(colors)} are not the single {rho}")
-
-
 def _recheck_ramsey(payload: dict) -> None:
     config = payload["config"]
-    r, level = config["r"], payload["level"]
+    r, level, n = config["r"], payload["level"], config["n"]
     oracle = make_oracle(config["oracle"], r)
     if not 0 <= level <= r:
         raise ValueError(f"level {level} out of range for r={r}")
-    coloring = derived_tuple_colorings(oracle, config["n"])[level]
-    if payload["arity"] != coloring.arity:
-        raise _Unsound(f"arity {payload['arity']} is not r + level = {coloring.arity}")
+    if len(payload["members"]) != config["m"]:
+        raise ValueError(f"{len(payload['members'])} members, config says m={config['m']}")
     points = sorted(payload["members"])
     if payload["top"] is not None:
         points.append(payload["top"])
+    check_points(points, n)
+    coloring = derived_tuple_colorings(oracle, n)[level]
+    if payload["arity"] != coloring.arity:
+        raise UnsoundCertificate(f"arity {payload['arity']} is not r + level = {coloring.arity}")
     for tup in combinations(points, coloring.arity):
         if coloring.color(tup) != payload["color"]:
-            raise _Unsound(f"tuple {tup} has color {coloring.color(tup)}")
-
-
-class _Unsound(Exception):
-    pass
+            raise UnsoundCertificate(f"tuple {tup} has color {coloring.color(tup)}")
 
 
 _RECHECKERS = {
-    "construct2": _recheck_construct2,
-    "construct-r": _recheck_construct_r,
+    "construct2": Pipeline2Certificate.recheck,
+    "construct-r": PipelineRCertificate.recheck,
     "ramsey": _recheck_ramsey,
 }
 
@@ -325,7 +257,7 @@ def cmd_verify(args) -> int:
         return _fail(f"not a certificate: {exc!r}", EXIT_USAGE)
     try:
         recheck(payload)
-    except _Unsound as exc:
+    except UnsoundCertificate as exc:
         return _fail(f"certificate unsound: {exc}", EXIT_VERIFY)
     except (KeyError, ValueError, TypeError) as exc:
         return _fail(f"malformed certificate: {exc!r}", EXIT_USAGE)

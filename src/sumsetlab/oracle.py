@@ -17,7 +17,8 @@ derived is the single place where a level tuple becomes a vector.
 verify_witness is the soundness gate shared by both construction pipelines:
 given a finite witness set X it evaluates the oracle on every pairwise sum
 (doubles included) and either certifies a single color or names two sums
-that disagree.
+that disagree.  recheck_witness, its counterpart for stored certificates,
+raises UnsoundCertificate when a stored X or sum table does not re-check.
 """
 
 from __future__ import annotations
@@ -251,6 +252,10 @@ class WitnessCertificate:
     def sums_payload(self) -> list[dict]:
         return [{"vector": v.serialize(), "color": c} for v, c in self.table]
 
+    def payload(self) -> dict:
+        """The witness set X and its sum table, as certificates store them."""
+        return {"X": [v.serialize() for v in self.vectors], "sums": self.sums_payload()}
+
 
 @dataclass(frozen=True)
 class WitnessFailure:
@@ -280,3 +285,35 @@ def verify_witness(oracle: ColoringOracle, vectors: Iterable[QVec]):
         if entry[1] != first[1]:
             return WitnessFailure(first=first, second=entry)
     return WitnessCertificate(vectors=tuple(vs), color=first[1], table=table)
+
+
+class UnsoundCertificate(Exception):
+    """A well-formed certificate whose claim does not survive a re-check."""
+
+
+def check_points(points: Iterable[int], n: int) -> None:
+    """Raise ValueError unless every point is an int in range(n)."""
+    for p in points:
+        if not isinstance(p, int) or not 0 <= p < n:
+            raise ValueError(f"point {p!r} lies outside range({n})")
+
+
+def recheck_witness(oracle: ColoringOracle, xs: Sequence[QVec], payload: dict, color: int) -> None:
+    """Re-check a stored witness against X rebuilt from the certificate.
+
+    The stored X must equal the rebuilt one, every sum is colored afresh
+    and must match the stored table, and the single sum color must be the
+    claimed one.  An empty stored X is malformed (ValueError); any other
+    mismatch raises UnsoundCertificate.
+    """
+    if not payload["X"]:
+        raise ValueError("the witness set X is empty")
+    if sorted(x.serialize() for x in xs) != payload["X"]:
+        raise UnsoundCertificate("stored X differs from the one rebuilt from the certificate")
+    outcome = verify_witness(oracle, xs)
+    if not isinstance(outcome, WitnessCertificate):
+        raise UnsoundCertificate(outcome.describe())
+    if outcome.sums_payload() != payload["sums"]:
+        raise UnsoundCertificate("stored sum table differs from a fresh evaluation")
+    if outcome.color != color:
+        raise UnsoundCertificate(f"sum color {outcome.color} is not the claimed {color}")

@@ -17,13 +17,14 @@ families and a single element from each remaining family.  Writing i_k for
 the unprimed position in family k and i_k' for the primed one (k < l), the
 tuple is l-canonical when i_k < i_k' <= TOP and every i_k' exceeds the
 maximum finite unprimed position of the whole tuple.
+Both witness pipelines end in pigeonhole_pair and halved_family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .qvec import QVec, RationalLike
 
@@ -153,14 +154,41 @@ class IndexFamily:
     def __contains__(self, index: int) -> bool:
         return index == self.top or index in self.members
 
-    def all_indices(self) -> tuple[int, ...]:
-        return self.members + (self.top,)
-
     def low(self) -> int:
         return self.members[0] if self.members else self.top
 
     def high(self) -> int:
         return self.top
+
+
+def pigeonhole_pair(rho: Sequence[int]) -> tuple[int, int]:
+    """First (l', l) in lexicographic order with rho[l'] == rho[l]."""
+    for l_prime in range(len(rho)):
+        for l in range(l_prime + 1, len(rho)):
+            if rho[l_prime] == rho[l]:
+                return l_prime, l
+    raise ValueError(f"no repeated value in {tuple(rho)}; not an r-coloring of r+1 levels?")
+
+
+def halved_family(
+    r: int,
+    l_prime: int,
+    l: int,
+    frames: Sequence[Sequence[int]],
+    cross: Callable[[int, int], Sequence[int]],
+) -> list[QVec]:
+    """Witness family x_i = (1/2) s_l' * frames[i] for a coincidence at l' < l.
+
+    Asserts 2 x_i = s_l' * frames[i] and x_i + x_j = s_l * cross(i, j) for
+    every i < j, so each sum lands on a pattern of one of the two levels.
+    """
+    s_low, s_high = make_string(r, l_prime), make_string(r, l)
+    xs = [star(s_low, frame).scale("1/2") for frame in frames]
+    for i, x in enumerate(xs):
+        assert x + x == star(s_low, frames[i])
+        for j in range(i + 1, len(xs)):
+            assert x + xs[j] == star(s_high, cross(i, j))
+    return xs
 
 
 def families_are_laid_out(families: Sequence[IndexFamily]) -> bool:

@@ -11,12 +11,13 @@ each coincidence admits an explicit halved-pattern witness family:
   CASE2 (rho0 = rho2): x_i = (1/2) s_0 * (a_2i, a_2i+1)
   CASE3 (rho1 = rho2): x_i = (1/2) s_1 * (a_0, a_1, a_(i+2))
 
-Doubles and pairwise sums of each family land back on whole-pattern vectors
-covered by the matched pair of constants; the identities are re-derived
-symbolically for every emitted pair, and verify_witness then re-colors
-every sum from scratch.  Note the CASE3 string is s_1, the length-3 string
-(2, 2, 4): halving it doubles back to s_1 itself on the same three indices,
-while cross sums fill out s_2 on four indices.
+Each case only lays out its frames; halved_family asserts that doubles and
+pairwise sums (on the union of two frames) land back on whole-pattern
+vectors covered by the matched pair of constants, and verify_witness then
+re-colors every sum from scratch.  Note the CASE3 string is s_1, the
+length-3 string (2, 2, 4): halving it doubles back to s_1 itself on the
+same three indices, while cross sums fill out s_2 on four indices.
+Pipeline2Certificate.recheck re-checks the written certificate.
 
 Each d_l is a TupleColoring over oracle.derived, the single place where a
 level tuple becomes a vector; its index-tuple memo is the only cache.
@@ -27,8 +28,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .oracle import ColoringOracle, WitnessCertificate, derived, verify_witness
-from .pattern import make_string, star
+from .oracle import (
+    ColoringOracle,
+    UnsoundCertificate,
+    WitnessCertificate,
+    check_points,
+    derived,
+    make_oracle,
+    recheck_witness,
+    verify_witness,
+)
+from .pattern import IndexFamily, halved_family, pigeonhole_pair
 from .qvec import QVec
 from .ramsey import HomogeneousSet, NoHomogeneousSet, TupleColoring, multi_homogeneous
 
@@ -43,16 +53,14 @@ CASE_NOTES = {
     Case.CASE3: "CASE3 halves the length-3 string (2,2,4); doubles recover it exactly"
 }
 
+# The coincidence rho[l'] == rho[l] behind each case, as (l', l).
+CASE_LEVELS = {Case.CASE1: (0, 1), Case.CASE2: (0, 2), Case.CASE3: (1, 2)}
+
 
 def case_of(rho0: int, rho1: int, rho2: int) -> Case:
     """First matching coincidence among three constants in two colors."""
-    if rho0 == rho1:
-        return Case.CASE1
-    if rho0 == rho2:
-        return Case.CASE2
-    if rho1 == rho2:
-        return Case.CASE3
-    raise ValueError(f"no coincidence among ({rho0}, {rho1}, {rho2}); not a 2-coloring?")
+    pair = pigeonhole_pair((rho0, rho1, rho2))
+    return next(case for case, levels in CASE_LEVELS.items() if levels == pair)
 
 
 @dataclass(frozen=True)
@@ -74,13 +82,31 @@ class Pipeline2Certificate:
             "A": list(self.members),
             "top": self.top,
             "rho": list(self.rho),
-            "X": [v.serialize() for v in self.witness.vectors],
-            "sums": self.witness.sums_payload(),
+            **self.witness.payload(),
         }
         note = CASE_NOTES.get(self.case)
         if note:
             payload["notes"] = note
         return payload
+
+    @staticmethod
+    def recheck(payload: dict) -> None:
+        """Check A and top against the config, rebuild X on A and re-color
+        every sum; the homogeneity of A is not re-checked.  Raises
+        UnsoundCertificate, or KeyError/TypeError/ValueError if malformed."""
+        config = payload["config"]
+        oracle = make_oracle(config["oracle"], 2)
+        m, n = config["m"], config["n"]
+        family = IndexFamily(members=tuple(payload["A"]), top=payload["top"])
+        if family.size != m:
+            raise ValueError(f"A has {family.size} entries, config says m={m}")
+        check_points((*family.members, family.top), n)
+        rho = tuple(payload["rho"])
+        case = Case(payload["case"])
+        if case_of(*rho) is not case:
+            raise UnsoundCertificate(f"case {case.value} does not match rho={rho}")
+        xs = _case_witnesses(case, family.members, family.top, m)
+        recheck_witness(oracle, xs, payload, rho[CASE_LEVELS[case][0]])
 
 
 @dataclass(frozen=True)
@@ -106,40 +132,15 @@ def derived_tuple_colorings(oracle: ColoringOracle, universe: int) -> list[Tuple
 
 
 def _case_witnesses(case: Case, members: tuple[int, ...], top: int, m: int) -> list[QVec]:
-    s0, s1, s2 = (make_string(2, l) for l in range(3))
-    half = "1/2"
+    """The case's frames on A; a cross sum fills the union of two frames."""
     if case is Case.CASE1:
-        xs = [star(s0, (members[i], top)).scale(half) for i in range(m)]
-        for i, x in enumerate(xs):
-            assert x + x == star(s0, (members[i], top))
-            for j in range(i + 1, m):
-                assert x + xs[j] == star(s1, (members[i], members[j], top))
-        return xs
-    if case is Case.CASE2:
-        xs = [star(s0, (members[2 * i], members[2 * i + 1])).scale(half) for i in range(m // 2)]
-        for i, x in enumerate(xs):
-            assert x + x == star(s0, (members[2 * i], members[2 * i + 1]))
-            for j in range(i + 1, m // 2):
-                pair_i = (members[2 * i], members[2 * i + 1])
-                pair_j = (members[2 * j], members[2 * j + 1])
-                assert x + xs[j] == star(s2, pair_i + pair_j)
-        return xs
-    xs = [star(s1, (members[0], members[1], members[i + 2])).scale(half) for i in range(m - 2)]
-    for i, x in enumerate(xs):
-        assert x + x == star(s1, (members[0], members[1], members[i + 2]))
-        for j in range(i + 1, m - 2):
-            assert x + xs[j] == star(
-                s2, (members[0], members[1], members[i + 2], members[j + 2])
-            )
-    return xs
-
-
-def _case_color(case: Case, rho: tuple[int, int, int]) -> int:
-    if case is Case.CASE1:
-        return rho[0]
-    if case is Case.CASE2:
-        return rho[0]
-    return rho[1]
+        frames = [(members[i], top) for i in range(m)]
+    elif case is Case.CASE2:
+        frames = [(members[2 * i], members[2 * i + 1]) for i in range(m // 2)]
+    else:
+        frames = [(members[0], members[1], members[i + 2]) for i in range(m - 2)]
+    l_prime, l = CASE_LEVELS[case]
+    return halved_family(2, l_prime, l, frames, lambda i, j: sorted({*frames[i], *frames[j]}))
 
 
 def construct2(oracle: ColoringOracle, n: int, m: int, budget: int | None = None):
@@ -172,7 +173,7 @@ def construct2(oracle: ColoringOracle, n: int, m: int, budget: int | None = None
         raise RuntimeError(
             f"witness family failed re-verification after homogenization: {outcome.describe()}"
         )
-    if outcome.color != _case_color(case, rho):
+    if outcome.color != rho[CASE_LEVELS[case][0]]:
         raise RuntimeError(
             f"witness color {outcome.color} disagrees with the matched constants {rho}"
         )

@@ -21,8 +21,9 @@ Once level constants rho_0 .. rho_r exist, two of them coincide, say at
 levels l' < l, and make_witness_tuples lays out the witness frames: the
 halved level-l' pattern on a_i doubles back onto a level-l' tuple while
 cross sums fill a level-l tuple, so every pairwise sum is colored by the
-shared constant.  All identities are re-derived exactly and verify_witness
-re-colors every sum before a certificate is issued.
+shared constant.  halved_family asserts these identities, and
+verify_witness re-colors every sum before a certificate is issued;
+PipelineRCertificate.recheck re-checks the written certificate.
 
 Every level tuple is colored through oracle.derived, the single place
 where a level tuple becomes a vector.
@@ -34,7 +35,16 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .oracle import ColoringOracle, WitnessCertificate, derived, verify_witness
+from .oracle import (
+    ColoringOracle,
+    UnsoundCertificate,
+    WitnessCertificate,
+    check_points,
+    derived,
+    make_oracle,
+    recheck_witness,
+    verify_witness,
+)
 from .pattern import (
     TOP,
     CanonicalTuple,
@@ -42,11 +52,11 @@ from .pattern import (
     Position,
     canonical_tuple,
     families_are_laid_out,
+    halved_family,
     is_index_strictly_increasing,
     is_l_canonical,
     is_top,
-    make_string,
-    star,
+    pigeonhole_pair,
 )
 from .ramsey import HomogeneousSet, TupleColoring, brute_homogeneous
 
@@ -440,31 +450,20 @@ def make_witness_tuples(sys: FamilySystem, l_prime: int, l: int, count: int):
             f"(max {max_count})"
         )
     families = sys.families
+    walks = [tuple(k + i * stride for k in range(l_prime, l)) for i in range(count)]
     a_tuples = []
-    for i in range(count):
-        index = (
-            tuple(range(l_prime))
-            + tuple(k + i * stride for k in range(l_prime, l))
-            + (TOP,) * (r - l)
-        )
-        primed = (TOP,) * l_prime
-        a = canonical_tuple(families, l_prime, index, primed)
+    for walk in walks:
+        index = tuple(range(l_prime)) + walk + (TOP,) * (r - l)
+        a = canonical_tuple(families, l_prime, index, (TOP,) * l_prime)
         ok, reason = is_l_canonical(a, families, l_prime)
         assert ok and is_index_strictly_increasing(a), reason
         a_tuples.append(a)
     b_tuples = {}
-    for i in range(count):
-        for j in range(i + 1, count):
-            index = (
-                tuple(range(l_prime))
-                + tuple(k + i * stride for k in range(l_prime, l))
-                + (TOP,) * (r - l)
-            )
-            primed = (TOP,) * l_prime + tuple(k + j * stride for k in range(l_prime, l))
-            b = canonical_tuple(families, l, index, primed)
-            ok, reason = is_l_canonical(b, families, l)
-            assert ok and is_index_strictly_increasing(b), reason
-            b_tuples[(i, j)] = b
+    for i, j in combinations(range(count), 2):
+        b = canonical_tuple(families, l, a_tuples[i].index, (TOP,) * l_prime + walks[j])
+        ok, reason = is_l_canonical(b, families, l)
+        assert ok and is_index_strictly_increasing(b), reason
+        b_tuples[i, j] = b
     return a_tuples, b_tuples
 
 
@@ -488,31 +487,46 @@ class PipelineRCertificate:
             "l_prime": self.l_prime,
             "l": self.l,
             "rho": self.witness.color,
-            "X": [v.serialize() for v in self.witness.vectors],
-            "sums": self.witness.sums_payload(),
+            **self.witness.payload(),
         }
 
-
-def pigeonhole_pair(rho: Sequence[int]) -> tuple[int, int]:
-    """First (l', l) in lexicographic order with rho[l'] == rho[l]."""
-    for l_prime in range(len(rho)):
-        for l in range(l_prime + 1, len(rho)):
-            if rho[l_prime] == rho[l]:
-                return l_prime, l
-    raise ValueError(f"no repeated value in {tuple(rho)}; not an r-coloring of r+1 levels?")
+    @staticmethod
+    def recheck(payload: dict) -> None:
+        """Check the families against the config, rebuild X on them and
+        re-color every sum; level homogeneity is not re-checked.  Raises
+        UnsoundCertificate, or KeyError/TypeError/ValueError if malformed."""
+        config = payload["config"]
+        r, m, n = config["r"], config["m"], config["n"]
+        oracle = make_oracle(config["oracle"], r)
+        families = FamilySystem(
+            families=tuple(
+                IndexFamily(members=tuple(f["members"]), top=f["top"])
+                for f in payload["families"]
+            )
+        )
+        if families.r != r or families.member_count != m:
+            raise ValueError(f"need {r} families of m={m} members each")
+        for family in families.families:
+            check_points((*family.members, family.top), n)
+        rho_levels = tuple(payload["rho_levels"])
+        l_prime, l = payload["l_prime"], payload["l"]
+        if not 0 <= l_prime < l <= r:
+            raise ValueError(f"need 0 <= l' < l <= {r}, got l'={l_prime}, l={l}")
+        if len(rho_levels) != r + 1:
+            raise ValueError(f"rho_levels needs {r + 1} entries, got {len(rho_levels)}")
+        if rho_levels[l_prime] != rho_levels[l] or rho_levels[l] != payload["rho"]:
+            raise UnsoundCertificate(f"rho={payload['rho']} does not match the level constants")
+        xs, _, _ = witness_vectors(families, l_prime, l, len(payload["X"]))
+        recheck_witness(oracle, xs, payload, payload["rho"])
 
 
 def witness_vectors(sys: FamilySystem, l_prime: int, l: int, count: int):
     """Halved level-l' vectors on the a-frames, with exact sum identities
     against the b-frames asserted for every pair."""
     a_tuples, b_tuples = make_witness_tuples(sys, l_prime, l, count)
-    s_low = make_string(sys.r, l_prime)
-    s_high = make_string(sys.r, l)
-    xs = [star(s_low, a.entries).scale("1/2") for a in a_tuples]
-    for i, x in enumerate(xs):
-        assert x + x == star(s_low, a_tuples[i].entries)
-        for j in range(i + 1, len(xs)):
-            assert x + xs[j] == star(s_high, b_tuples[(i, j)].entries)
+    xs = halved_family(
+        sys.r, l_prime, l, [a.entries for a in a_tuples], lambda i, j: b_tuples[i, j].entries
+    )
     return xs, a_tuples, b_tuples
 
 

@@ -127,14 +127,6 @@ class QVec:
         return f"QVec({{{body}}})"
 
 
-def add(u: QVec, v: QVec) -> QVec:
-    return u + v
-
-
-def scale(scalar: RationalLike, v: QVec) -> QVec:
-    return v.scale(scalar)
-
-
 def sumset(vectors: Iterable[QVec]) -> frozenset[QVec]:
     """All pairwise sums a + b over the given vectors, repetitions allowed.
 

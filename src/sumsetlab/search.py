@@ -28,6 +28,7 @@ mean the X-range convention was broken somewhere.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from multiprocessing import get_context
@@ -226,8 +227,8 @@ class ThresholdRecord:
     M: int
     verdict: str
     witness: NatColoring | None
-    # Node counts depend on the schedule (sequential runs stop at the first
-    # witness, pooled runs drain every task), so they are diagnostics only.
+    # Every schedule counts the tasks up to the first witness, but a resumed
+    # run counts only the nodes after its checkpoint, so they are diagnostics only.
     nodes: int = field(compare=False)
 
     def __post_init__(self):
@@ -247,11 +248,9 @@ def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
     return [(0,) + extra for extra in product(range(r), repeat=depth)]
 
 
-def _run_prefix_task(args):
+def _run_prefix_task(args) -> BadSearch:
     k, r, M, budget, x_max, prefix = args
-    result = find_bad_coloring(k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix)
-    colors = result.coloring.colors if result.coloring is not None else None
-    return (colors, result.exhausted, result.nodes)
+    return find_bad_coloring(k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix)
 
 
 def _verify_escapable(record_witness: NatColoring, k: int, x_max: int | None) -> None:
@@ -272,28 +271,18 @@ def _scan_one(
     task_hook: Callable[[int, tuple[int, ...]], BadSearch] | None = None,
 ) -> ThresholdRecord:
     prefixes = _task_prefixes(r, M)
+    tasks = [(k, r, M, budget, x_max, prefix) for prefix in prefixes]
     witness = None
     all_exhausted = True
     nodes = 0
-    if workers > 1:
-        with get_context().Pool(workers) as pool:
-            outcomes = pool.map(
-                _run_prefix_task,
-                [(k, r, M, budget, x_max, prefix) for prefix in prefixes],
-            )
-        for colors, exhausted, task_nodes in outcomes:
-            nodes += task_nodes
-            if colors is not None and witness is None:
-                witness = NatColoring(r=r, colors=colors)
-            all_exhausted = all_exhausted and exhausted
-    else:
-        for index, prefix in enumerate(prefixes):
-            if task_hook is not None:
-                result = task_hook(index, prefix)
-            else:
-                result = find_bad_coloring(
-                    k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix
-                )
+    with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
+        if pool is not None:
+            results = pool.imap(_run_prefix_task, tasks)
+        elif task_hook is not None:
+            results = map(task_hook, range(len(prefixes)), prefixes)
+        else:
+            results = map(_run_prefix_task, tasks)
+        for result in results:
             nodes += result.nodes
             if result.found:
                 witness = result.coloring

@@ -361,6 +361,24 @@ def test_verify_missing_key_is_malformed(construct2_cert, capsys):
     assert_verify_rejects(construct2_cert, capsys, [
         (lambda p: p.pop("sums"), EXIT_USAGE, MALFORMED),
         (lambda p: p.update(A=p["A"][:2]), EXIT_USAGE, MALFORMED),
+        # points outside the configured universe, or a top not above A
+        (lambda p: p["config"].update(n=11), EXIT_USAGE, MALFORMED),
+        (lambda p: p["config"].update(n=3), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(top=2), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(top="11"), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(A=[1, 0, 2, 3]), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(X=[], sums=[]), EXIT_USAGE, MALFORMED),
+    ])
+
+
+def test_verify_rejects_construct2_top_below_members(tmp_path, capsys):
+    cert = tmp_path / "c1.json"
+    run_ok(["construct2", "--oracle", "constant:1", "--n", "8", "--m", "4", "--out", str(cert)])
+    assert json.loads(cert.read_text())["case"] == "CASE1"
+    assert_verify_rejects(cert, capsys, [
+        (lambda p: p.update(A=[2, 3, 4, 5], top=1), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(A=[0, 1, 3, 2]), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(X=p["X"][:1]), EXIT_VERIFY, UNSOUND),
     ])
 
 
@@ -376,6 +394,10 @@ def test_verify_rejects_tampered_construct_r(tmp_path, capsys):
         (lambda p: p.update(l_prime=-1), EXIT_USAGE, MALFORMED),
         (lambda p: p.update(l=9), EXIT_USAGE, MALFORMED),
         (lambda p: p.update(rho_levels=[0, 1]), EXIT_USAGE, MALFORMED),
+        (lambda p: p["config"].update(m=3), EXIT_USAGE, MALFORMED),
+        (lambda p: p["config"].update(n=11), EXIT_USAGE, MALFORMED),
+        (lambda p: p["config"].update(r=3), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(X=[], sums=[]), EXIT_USAGE, MALFORMED),
     ])
 
 
@@ -390,6 +412,11 @@ def test_verify_rejects_tampered_ramsey_color(tmp_path, capsys):
         (lambda p: p.update(arity=4), EXIT_VERIFY, UNSOUND),
         (lambda p: p.update(level=7), EXIT_USAGE, MALFORMED),
         (lambda p: p.update(level=-1, color=0), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(members=[0, 1]), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(members=[0]), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(members=[]), EXIT_USAGE, MALFORMED),
+        (lambda p: p.update(top=99), EXIT_USAGE, MALFORMED),
+        (lambda p: p["config"].update(n=7), EXIT_USAGE, MALFORMED),
     ])
 
 
