@@ -24,7 +24,7 @@ from .oracle import UnsoundCertificate, check_points, make_oracle
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import HomogeneousSet, brute_homogeneous, greedy_end_homogeneous
-from .search import threshold_scan, write_csv
+from .search import threshold_scan, write_csv, write_text_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,7 +54,7 @@ def resolve_descriptor(descriptor: str, seed: int) -> str:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
 

@@ -162,7 +162,8 @@ class OrderInvariantOracle(ColoringOracle):
         self.inner = inner
 
     def _color_impl(self, v: QVec) -> int:
-        squashed = QVec(enumerate(v.values_in_order()))
+        # v's values are nonzero Fractions, placed here on 0..k-1 in order.
+        squashed = QVec._from_sorted(tuple(enumerate(v.values_in_order())))
         return self.inner.color(squashed)
 
     def descriptor(self) -> str:

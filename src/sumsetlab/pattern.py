@@ -5,6 +5,10 @@ string s_l has length r + l and consists of 2l twos followed by r - l fours.
 Placing a string on an increasing set of coordinate indices (the star
 operation) produces a QVec, and these vectors are exactly the shapes taken
 by doubles and pairwise sums of the witness vectors built downstream.
+Every level tuple the pipelines color becomes a vector through star, so
+star is kept cheap: make_string returns one cached PatternString per
+(r, l) whose values are checked once, and star checks only the indices of
+a pattern before building through QVec's trusted constructor.
 
 Index families model r disjoint blocks of coordinates, each with finitely
 many members plus one distinguished top.  Positions inside a family are
@@ -22,8 +26,9 @@ Both witness pipelines end in pigeonhole_pair and halved_family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .qvec import QVec, RationalLike
@@ -78,11 +83,22 @@ def is_top(position: Position) -> bool:
 
 @dataclass(frozen=True)
 class PatternString:
-    """String of nonzero values used by the star operation; s_l = 2^(2l) 4^(r-l)."""
+    """String of nonzero values used by the star operation; s_l = 2^(2l) 4^(r-l).
+
+    The values are checked nonzero once, at construction, and kept as
+    Fractions in ``rationals``, so star places them without re-checking.
+    """
 
     r: int
     l: int
     values: tuple[int, ...]
+    rationals: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rationals = tuple(Fraction(v) for v in self.values)
+        if 0 in rationals:
+            raise ValueError("pattern values must be nonzero")
+        object.__setattr__(self, "rationals", rationals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -100,6 +116,11 @@ def make_string(r: int, l: int) -> PatternString:
         raise ValueError(f"r must be a positive integer, got {r!r}")
     if not isinstance(l, int) or l < 0 or l > r:
         raise ValueError(f"l must lie in [0, {r}], got {l!r}")
+    return _pattern_string(r, l)
+
+
+@cache
+def _pattern_string(r: int, l: int) -> PatternString:
     return PatternString(r=r, l=l, values=(2,) * (2 * l) + (4,) * (r - l))
 
 
@@ -107,18 +128,24 @@ def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable
     """Place values on an index set: the k-th smallest index carries values[k].
 
     The index set must consist of pairwise distinct naturals and match the
-    string in length; all values must be nonzero.
+    string in length; all values must be nonzero.  A PatternString's values
+    are nonzero by construction, so only the indices are checked for it.
     """
-    vals = tuple(values)
+    trusted = isinstance(values, PatternString)
+    vals = values.rationals if trusted else tuple(values)
     idx = tuple(indices)
     if len(idx) != len(set(idx)):
         raise ValueError(f"indices must be pairwise distinct, got {idx!r}")
     if len(vals) != len(idx):
         raise ValueError(f"length mismatch: {len(vals)} values vs {len(idx)} indices")
-    for v in vals:
-        if Fraction(v) == 0:
+    if not trusted:
+        vals = tuple(Fraction(v) for v in vals)
+        if 0 in vals:
             raise ValueError("star values must be nonzero")
-    return QVec(zip(sorted(idx), vals))
+    for index in idx:
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise ValueError(f"index must be a natural number, got {index!r}")
+    return QVec._from_sorted(tuple(zip(sorted(idx), vals)))
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,10 @@ def iter_canonical_tuples(
 
 @dataclass(frozen=True)
 class LevelReport:
+    """One level of check_levels.  tuple_count is the number of tuples
+    colored: the whole level when it is constant, otherwise up to and
+    including the counterexample's second tuple."""
+
     level: int
     constant: bool
     color: int | None
@@ -216,8 +220,13 @@ class HomogeneityReport:
 
 
 def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport:
-    """Exhaustively test each d_l for constancy across index-strictly-
-    increasing l-canonical tuples; record the first counterexample pair."""
+    """Test each d_l for constancy across index-strictly-increasing
+    l-canonical tuples, in iter_canonical_tuples order.
+
+    A level stops at its counterexample: the first tuple whose color
+    differs from the first tuple's.  Tuples after it are never colored, so
+    a strict table oracle need not map them.
+    """
     if oracle.r != sys.r:
         raise ValueError(f"oracle has r={oracle.r}, system has r={sys.r}")
     reports = []
@@ -230,8 +239,9 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
             c = derived(oracle, l, t.entries)
             if first is None:
                 first = (t, c)
-            elif c != first[1] and counterexample is None:
+            elif c != first[1]:
                 counterexample = (first[0], first[1], t, c)
+                break
         if count == 0:
             reports.append(
                 LevelReport(level=l, constant=False, color=None, tuple_count=0, counterexample=None)
@@ -262,13 +272,19 @@ def verify_saturation(oracle: ColoringOracle, sys: FamilySystem):
 
     Returns (level, tuple, color, saturated tuple, color) at the first
     index-strictly-increasing canonical tuple whose color differs from its
-    TOP-saturated form.
+    TOP-saturated form.  A saturated form depends only on the level and
+    the unprimed positions of the paired blocks, so each is colored once,
+    and a tuple that is its own saturated form is not colored again.
     """
+    saturated_forms: dict[tuple, tuple[CanonicalTuple, int]] = {}
     for l in range(sys.r + 1):
         for t in iter_canonical_tuples(sys.families, l, index_strict=True):
-            sat = saturated(sys, t)
-            c_t = derived(oracle, l, t.entries)
-            c_sat = derived(oracle, l, sat.entries)
+            key = (l, t.index[:l])
+            if key not in saturated_forms:
+                sat = saturated(sys, t)
+                saturated_forms[key] = (sat, derived(oracle, l, sat.entries))
+            sat, c_sat = saturated_forms[key]
+            c_t = c_sat if t == sat else derived(oracle, l, t.entries)
             if c_t != c_sat:
                 return (l, t, c_t, sat, c_sat)
     return None
@@ -308,14 +324,16 @@ def replacement_search(
         for t in iter_canonical_tuples(sys.families, l, pools=pools, containing_top_of=j)
     ]
     family = sys.families[j]
+    candidates = range(floor + 1, sys.member_count)
+    # The tuples with the top in place do not depend on the candidate.
+    before = [derived(oracle, t.l, t.entries) for t in constraints] if candidates else []
     tried = 0
-    for candidate in range(floor + 1, sys.member_count):
+    for candidate in candidates:
         tried += 1
         member = family.members[candidate]
         if all(
-            derived(oracle, t.l, t.entries)
-            == derived(oracle, t.l, tuple(member if e == family.top else e for e in t.entries))
-            for t in constraints
+            c == derived(oracle, t.l, tuple(member if e == family.top else e for e in t.entries))
+            for t, c in zip(constraints, before)
         ):
             return candidate
     return ReplacementFailure(

@@ -10,6 +10,16 @@ The canonical serialization is the line format used by certificates and
 lookup tables: entries sorted by index, each rendered ``index:num/den`` with
 the value in lowest terms, joined by commas.  The zero vector serializes to
 the empty string.
+
+Every QVec keeps one invariant: its entries are (index, value) pairs with
+strictly increasing natural indices and nonzero Fraction values.  The
+public constructor, parse, + and scale establish it by checking every
+entry.  _from_sorted is the one trusted constructor: it takes pairs that
+already satisfy the invariant and checks nothing, so only callers that
+guarantee it by construction use it (star and the order-invariant squash).
+The hash and the index-to-value map are computed on first use, not at
+construction, since most vectors built on the hot path are colored once
+and never hashed or looked up by index.
 """
 
 from __future__ import annotations
@@ -48,15 +58,30 @@ class QVec:
             if frac != 0:
                 cleaned[index] = frac
         self._items: tuple[tuple[int, Fraction], ...] = tuple(sorted(cleaned.items()))
-        self._map = cleaned
-        self._hash = hash(self._items)
+        self._map: dict[int, Fraction] | None = cleaned
+        self._hash: int | None = None
+
+    @classmethod
+    def _from_sorted(cls, items: tuple[tuple[int, Fraction], ...]) -> "QVec":
+        """Trusted constructor: items must already be (natural index,
+        nonzero Fraction) pairs in strictly increasing index order."""
+        v = object.__new__(cls)
+        v._items = items
+        v._map = None
+        v._hash = None
+        return v
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(index for index, _ in self._items)
 
+    def _mapping(self) -> dict[int, Fraction]:
+        if self._map is None:
+            self._map = dict(self._items)
+        return self._map
+
     def value(self, index: int) -> Fraction:
-        return self._map.get(index, Fraction(0))
+        return self._mapping().get(index, Fraction(0))
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self._items
@@ -79,12 +104,14 @@ class QVec:
         return self._items == other._items
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._items)
         return self._hash
 
     def __add__(self, other: "QVec") -> "QVec":
         if not isinstance(other, QVec):
             return NotImplemented
-        merged = dict(self._map)
+        merged = dict(self._items)
         for index, value in other._items:
             new = merged.get(index, Fraction(0)) + value
             if new == 0:

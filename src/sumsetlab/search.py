@@ -23,11 +23,15 @@ and the first witness in task order wins, so results are reproducible
 bit for bit under any parallelism.  FORCED verdicts are monotone in M;
 the scan asserts this and aborts loudly on a violation, since one would
 mean the X-range convention was broken somewhere.
+
+Checkpoints, tables and witness files go through write_text_atomic, so a
+crash mid-write leaves the previous file, never a torn one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -449,7 +453,22 @@ class _ScanCheckpoint:
             self._write()
 
     def _write(self) -> None:
-        self.path.write_text(json.dumps(self.state, sort_keys=True, indent=2) + "\n")
+        write_text_atomic(self.path, json.dumps(self.state, sort_keys=True, indent=2) + "\n")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temp file beside path, then rename it over path.
+
+    A crash or a failed write leaves path as it was, never half written.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_csv(
@@ -471,8 +490,8 @@ def write_csv(
         if record.witness is not None:
             name = f"{path.stem}-bad-M{record.M}.txt"
             witness_path = path.with_name(name)
-            witness_path.write_text(record.witness.serialize())
+            write_text_atomic(witness_path, record.witness.serialize())
             written.append(witness_path)
         lines.append(f"{record.k},{record.r},{record.M},{record.verdict},{name}")
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
     return [path] + written

@@ -8,13 +8,17 @@ certificates one field at a time and expect the resolver to notice.
 
 from __future__ import annotations
 
+import builtins
+import errno
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sumsetlab.search
 from sumsetlab.cli import (
     EXIT_NOT_FOUND,
     EXIT_OK,
@@ -241,6 +245,107 @@ def test_search_checkpoint_extension(tmp_path):
     assert len(rows) == 1 + 6
     state = json.loads(ckpt.read_text())
     assert len(state["records"]) == 6
+
+
+class _TornHandle:
+    """Writable file that takes half of what it is given, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+        return False
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "no space left on device (simulated)")
+
+
+def tear_write(monkeypatch, name: str, at: int) -> dict:
+    """Make the at-th file write for `name` in sumsetlab.search fail halfway.
+
+    Returns a dict whose "before" entry is set, at the torn write, to the
+    bytes `name` held just before it.
+    """
+    seen = {"writes": 0, "before": None}
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith(f".{name}."):
+            seen["writes"] += 1
+            if seen["writes"] == at:
+                target = Path(file).with_name(name)
+                seen["before"] = target.read_bytes() if target.exists() else None
+                return _TornHandle(handle)
+        return handle
+
+    monkeypatch.setattr(sumsetlab.search, "open", torn_open, raising=False)
+    return seen
+
+
+def test_search_torn_checkpoint_write_keeps_previous_and_resumes(tmp_path, monkeypatch):
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "torn").mkdir()
+    argv = ["search", "--k", "2", "--r", "2", "--m-max", "12", "--checkpoint-interval", "5"]
+
+    def run_in(folder):
+        return main(argv + ["--checkpoint", str(tmp_path / folder / "state.json"),
+                            "--out", str(tmp_path / folder / "scan.csv")])
+
+    assert run_in("clean") == EXIT_OK
+
+    torn = tear_write(monkeypatch, "state.json", at=14)
+    with pytest.raises(OSError, match="simulated"):
+        run_in("torn")
+    monkeypatch.undo()
+    state = tmp_path / "torn" / "state.json"
+    assert torn["before"] is not None
+    assert state.read_bytes() == torn["before"]
+    snapshot = json.loads(state.read_text())
+    assert len(snapshot["records"]) == 7 and snapshot["in_flight"]["M"] == 8
+    assert sorted(p.name for p in (tmp_path / "torn").iterdir()) == ["state.json"]
+
+    assert run_in("torn") == EXIT_OK
+    outputs = sorted(p.name for p in (tmp_path / "clean").iterdir() if p.name != "state.json")
+    assert sorted(p.name for p in (tmp_path / "torn").iterdir()) == sorted(outputs + ["state.json"])
+    for name in outputs:
+        assert (tmp_path / "torn" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    def verdicts(folder):
+        state = json.loads((tmp_path / folder / "state.json").read_text())
+        return [(row["M"], row["verdict"], row["witness"]) for row in state["records"]]
+
+    assert verdicts("torn") == verdicts("clean")
+
+
+def test_torn_output_write_keeps_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "scan.csv"
+    run_ok(["search", "--k", "2", "--r", "2", "--m-max", "4", "--out", str(out)])
+    witness = tmp_path / "scan-bad-M4.txt"
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    for name in ("scan.csv", "scan-bad-M4.txt"):
+        tear_write(monkeypatch, name, at=1)
+        with pytest.raises(OSError, match="simulated"):
+            main(["search", "--k", "2", "--r", "2", "--m-max", "5", "--out", str(out)])
+        monkeypatch.undo()
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p in files} == files
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+    assert witness.read_bytes() == b"1:0\n2:0\n3:0\n4:1\n"
+
+    cert = tmp_path / "cert.json"
+    run_ok(["construct2", "--oracle", "four-count", "--n", "12", "--m", "4", "--out", str(cert)])
+    before = cert.read_bytes()
+    tear_write(monkeypatch, "cert.json", at=1)
+    with pytest.raises(OSError, match="simulated"):
+        main(["construct2", "--oracle", "support-size", "--n", "12", "--m", "4", "--out", str(cert)])
+    monkeypatch.undo()
+    assert cert.read_bytes() == before
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
 def test_search_rejects_checkpoint_with_workers(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """String family, star operation, and canonical tuples."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from sumsetlab.pattern import (
     TOP,
     CanonicalTuple,
     IndexFamily,
+    PatternString,
     canonical_tuple,
     families_are_laid_out,
     is_index_strictly_increasing,
@@ -71,8 +74,35 @@ def test_star_rejects_length_mismatch_and_repeats():
         star((2, 4), (1, 2, 3))
     with pytest.raises(ValueError):
         star((2, 4), (3, 3))
+    for values in ((2, 0), (Fraction(0), 4), ("0/3", 2)):
+        with pytest.raises(ValueError):
+            star(values, (1, 2))
     with pytest.raises(ValueError):
-        star((2, 0), (1, 2))
+        PatternString(r=2, l=0, values=(4, 0))
+
+
+def test_star_of_a_pattern_string_equals_the_validating_constructor():
+    for r in range(1, 5):
+        for l in range(r + 1):
+            s = make_string(r, l)
+            for idx in (tuple(range(r + l))[::-1], tuple(range(3, 5 * (r + l) + 3, 5))):
+                fast = star(s, idx)
+                slow = QVec(zip(sorted(idx), s.values))
+                assert fast.items() == slow.items()
+                assert all(type(value) is Fraction for _, value in fast.items())
+                assert fast.serialize() == slow.serialize()
+                assert fast == slow and hash(fast) == hash(slow)
+                assert fast in {slow} and slow in {fast}
+                assert {slow: (r, l)}[fast] == (r, l)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [(-1, 2, 3), (True, 2, 3), (1, False, 3), (1.0, 2, 3), ("1", 2, 3), (2, 2, 3), (1, 2), (1, 2, 3, 4)],
+)
+def test_star_of_a_pattern_string_still_checks_its_indices(indices):
+    with pytest.raises(ValueError):
+        star(make_string(2, 1), indices)
 
 
 def test_top_compares_above_every_natural():

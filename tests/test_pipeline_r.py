@@ -255,6 +255,44 @@ def test_check_levels_counterexample_recolors():
         report.colors
 
 
+class CountingPositionCutOracle(PositionCutOracle):
+    """PositionCutOracle that records every vector it is asked to color."""
+
+    def __init__(self, r, sys0, cut):
+        super().__init__(r, sys0, cut)
+        self.seen = []
+
+    def _color_impl(self, v):
+        self.seen.append(v.serialize())
+        return super()._color_impl(v)
+
+
+def test_check_levels_stops_each_level_at_its_counterexample():
+    sys0 = system_from_universe(3, 45)
+    oracle = PositionCutOracle(3, sys0, cut=9)
+    counting = CountingPositionCutOracle(3, sys0, cut=9)
+    report = check_levels(counting, sys0)
+    expected_seen = []
+    for l, lvl in enumerate(report.levels):
+        # Plain full enumeration: color every tuple, then find the first
+        # one that disagrees with the first tuple.
+        tuples = list(iter_canonical_tuples(sys0.families, l, index_strict=True))
+        colors = [derived(oracle, l, t.entries) for t in tuples]
+        k = next((k for k, c in enumerate(colors) if c != colors[0]), None)
+        if k is None:
+            assert (lvl.constant, lvl.color, lvl.counterexample) == (True, colors[0], None)
+            assert lvl.tuple_count == len(tuples)
+        else:
+            assert (lvl.constant, lvl.color) == (False, None)
+            assert lvl.counterexample == (tuples[0], colors[0], tuples[k], colors[k])
+            assert lvl.tuple_count == k + 1 < len(tuples)
+        expected_seen += [
+            star(make_string(3, l), t.entries).serialize() for t in tuples[: lvl.tuple_count]
+        ]
+    assert [lvl.constant for lvl in report.levels] == [True, False, False, False]
+    assert counting.seen == expected_seen
+
+
 def test_check_levels_rejects_r_mismatch():
     with pytest.raises(ValueError):
         check_levels(make_oracle("four-count", 3), system_from_universe(2, 12))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sumsetlab.pattern import make_string, star
 from sumsetlab.qvec import QVec, sumset
 
 indices = st.integers(min_value=0, max_value=63)
@@ -145,6 +146,16 @@ def test_parse_rejects_malformed_entries():
 def test_equal_vectors_hash_equal(u, v):
     if u == v:
         assert hash(u) == hash(v)
+
+
+def test_parsed_and_star_built_vectors_hash_equal():
+    for built in (star(make_string(3, 1), (9, 1, 4, 6)), star((2, "1/3", -4), (0, 7, 2))):
+        for v in (built, built.scale("1/2")):
+            parsed = QVec.parse(v.serialize())
+            assert parsed == v and hash(parsed) == hash(v)
+            assert {parsed: "x"}[v] == "x"
+            assert [v.value(i) for i in range(10)] == [parsed.value(i) for i in range(10)]
+            assert v + parsed == parsed.scale(2)
 
 
 def test_equality_is_entrywise():
