@@ -39,7 +39,7 @@ def fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
     for byte in data:
         h ^= byte
-        h = (h * FNV_PRIME) % (1 << 64)
+        h = (h * FNV_PRIME) & 0xFFFF_FFFF_FFFF_FFFF
     return h
 
 

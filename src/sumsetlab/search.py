@@ -7,12 +7,21 @@ colored universe; the bound is a parameter because that finitization
 convention is a choice, not a theorem.
 
 find_bad_coloring hunts for a bad coloring by depth-first search over
-assignments with two exact devices: the color of 1 is pinned to 0 (color
-names are interchangeable, and the lexicographically least bad coloring
-has color 0 at position 1), and after coloring an even position t = 2x
-every X with max(X) = x has its full sumset colored, so a monochromatic
-one kills the whole subtree.  A surviving leaf is re-verified by a fresh
-exhaustive scan before being reported.
+assignments of positions 1, 2, ..., M, with two exact devices:
+
+- Value symmetry.  Color names are interchangeable, so a free position
+  may take a color already used or the least unused one; colors then first
+  appear in increasing order, as they do in the lexicographically least
+  bad coloring, which is therefore never pruned.
+- Forward checking through a strike table.  For each X with x = max(X),
+  the sums other than 2x are all below 2x, and the largest of them, p, is
+  where the table files X.  Once p is colored c, if all those sums are c,
+  c is struck from position 2x: X is monochromatic in c exactly when they
+  are c and 2x is c.  A struck color is never tried, and a position with
+  every color struck kills the subtree at once.
+
+A surviving leaf is re-verified by a fresh exhaustive scan before being
+reported.
 
 threshold_scan drives the hunt for M = 1..M_max and classifies each M as
 ESCAPABLE (a verified bad coloring exists), FORCED (the search space was
@@ -20,9 +29,11 @@ exhausted: every coloring admits a monochromatic sumset), or UNDECIDED
 (budget ran out).  The coloring space is always split into the same fixed
 prefix tasks whatever the worker count, each task gets the full budget,
 and the first witness in task order wins, so results are reproducible
-bit for bit under any parallelism.  FORCED verdicts are monotone in M;
-the scan asserts this and aborts loudly on a violation, since one would
-mean the X-range convention was broken somewhere.
+bit for bit under any parallelism.  One worker pool serves the whole
+scan, and a pooled task whose M is already settled stops early.  FORCED
+verdicts are monotone in M; the scan asserts this and aborts loudly on a
+violation, since one would mean the X-range convention was broken
+somewhere.
 
 Checkpoints, tables and witness files go through write_text_atomic, so a
 crash mid-write leaves the previous file, never a torn one.
@@ -34,10 +45,13 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 FORCED = "FORCED"
 ESCAPABLE = "ESCAPABLE"
@@ -102,9 +116,10 @@ def has_mono_sumset(coloring: NatColoring, k: int, x_max: int | None = None):
     if k < 1:
         raise ValueError("witness size must be positive")
     limit = _x_limit(coloring.M, x_max)
+    colors = coloring.colors  # every sum is in 2..2*limit, inside 1..M
     for X in combinations(range(1, limit + 1), k):
         sums = {a + b for a, b in combinations(X, 2)} | {2 * a for a in X}
-        seen = {coloring.color_of(s) for s in sums}
+        seen = {colors[s - 1] for s in sums}
         if len(seen) == 1:
             return X
     return None
@@ -128,6 +143,35 @@ class _SearchBudget(Exception):
     pass
 
 
+def _strike_table(k: int, M: int, limit: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Forward-checking table for k >= 2: masks[p][i] and targets[p][i] are
+    mask and 2x for each k-subset X of {1..limit}, x = max(X), where mask
+    has bit s for each sum s of X + X other than 2x and p is the largest
+    such s.  (Two flat lists rather than a list of pairs: a third of the
+    memory for k = 3.)
+
+    p < 2x, so once p is colored all of mask is colored; if it is all one
+    color c, giving 2x the color c would make X + X monochromatic.
+    """
+    masks: list[list[int]] = [[] for _ in range(M + 1)]
+    targets: list[list[int]] = [[] for _ in range(M + 1)]
+    # (members, sums) bitmasks of every (k-1)-subset S, grown one element at
+    # a time: adding y > max(S) adds S + y and 2y to S + S.
+    partial = [(0, 0)]
+    for _ in range(k - 1):
+        partial = [
+            (members | 1 << y, sums | members << y | 1 << 2 * y)
+            for members, sums in partial
+            for y in range(members.bit_length() or 1, limit + 1)
+        ]
+    for members, sums in partial:
+        top = members.bit_length() - 1
+        for x in range(top + 1, limit + 1):
+            masks[x + top].append(sums | members << x)
+            targets[x + top].append(2 * x)
+    return masks, targets
+
+
 def find_bad_coloring(
     k: int,
     r: int,
@@ -142,8 +186,19 @@ def find_bad_coloring(
     """Depth-first hunt for a coloring of {1..M} without a monochromatic
     k-sumset, in lexicographic order of assignments.
 
+    Positions are colored 1, 2, ..., M.  A free position may take any color
+    already used or the least unused one, so colors first appear in
+    increasing order after the forced prefix; the lexicographically least
+    bad coloring has that form, so it is never pruned.  Coloring p with c
+    strikes c from 2x for every X whose other sums (filed under p by
+    _strike_table) are now all c; a struck color is skipped, and a position
+    with every color struck kills the subtree at once; for k = 1 that is
+    position 2, up front.  nodes counts one per color assigned, including the
+    one that crosses the budget; skipped colors are not nodes.
+
     forced_prefix pins the colors of the first positions (the task
-    decomposition hook); an empty prefix pins only color(1) = 0.
+    decomposition hook); it may break the first-use order, and the free
+    positions after it follow the rule above from its colors.
     resume_from fast-forwards to a previously checkpointed assignment
     prefix, skipping every branch the earlier run already cleared.  The
     checkpoint callback receives (assignment prefix, nodes) every
@@ -154,38 +209,27 @@ def find_bad_coloring(
     limit = _x_limit(M, x_max)
     if len(forced_prefix) > M:
         raise ValueError("forced prefix longer than the universe")
-    bad_values = [c for c in forced_prefix if not 0 <= c < r]
+    bad_values = [c for c in (*forced_prefix, *(resume_from or ())) if not 0 <= c < r]
     if bad_values:
-        raise ValueError(f"forced prefix colors out of range: {bad_values}")
+        raise ValueError(f"prefix colors out of range: {bad_values}")
     if resume_from is not None:
         for i, c in enumerate(forced_prefix):
             if i < len(resume_from) and resume_from[i] != c:
                 raise ValueError("resume point contradicts the forced prefix")
 
+    if k == 1 and limit >= 1:
+        # X = {1} has no sums but 2, so every color is struck from 2
+        return BadSearch(coloring=None, exhausted=True, nodes=0)
+    every_color = (1 << r) - 1
+    masks, targets = _strike_table(k, M, limit)
+    # struck[t]: bitmask of the colors that would complete a monochromatic
+    # X + X at position t; holders[c]: bitmask of the positions colored c.
+    struck = [0] * (M + 1)
+    holders = [0] * r
     assignment = [0] * M
     nodes = 0
 
-    def choices(pos: int) -> Sequence[int]:
-        if pos <= len(forced_prefix):
-            return (forced_prefix[pos - 1],)
-        if pos == 1:
-            return (0,)
-        return range(r)
-
-    def subtree_dead(pos: int) -> bool:
-        if pos % 2 == 1:
-            return False
-        x = pos // 2
-        if not 1 <= x <= limit:
-            return False
-        for rest in combinations(range(1, x), k - 1):
-            X = rest + (x,)
-            sums = {a + b for a, b in combinations(X, 2)} | {2 * a for a in X}
-            if len({assignment[s - 1] for s in sums}) == 1:
-                return True
-        return False
-
-    def walk(pos: int, on_resume_path: bool):
+    def walk(pos: int, used: int, on_resume_path: bool):
         nonlocal nodes
         if pos > M:
             candidate = NatColoring(r=r, colors=tuple(assignment))
@@ -195,30 +239,58 @@ def find_bad_coloring(
                     "the X-range convention is broken"
                 )
             return candidate
+        if pos <= len(forced_prefix):
+            options = 1 << forced_prefix[pos - 1]
+        else:
+            # the used colors plus the least unused one
+            options = (used | (used + 1)) & every_color
+        options &= ~struck[pos]
         resuming_here = (
             on_resume_path and resume_from is not None and pos <= len(resume_from)
         )
-        for color in choices(pos):
-            if resuming_here and color < resume_from[pos - 1]:
-                continue
+        if resuming_here:
+            options &= -1 << resume_from[pos - 1]
+        here = 1 << pos
+        while options:
+            mark = options & -options
+            options ^= mark
+            color = mark.bit_length() - 1
             assignment[pos - 1] = color
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _SearchBudget
             if checkpoint is not None and nodes % checkpoint_interval == 0:
                 checkpoint(tuple(assignment[:pos]), nodes)
-            if not subtree_dead(pos):
+            mine = holders[color] | here
+            holders[color] = mine
+            newly = []
+            for mask, target in zip(masks[pos], targets[pos]):
+                if mask & mine == mask and not struck[target] & mark:
+                    struck[target] |= mark
+                    newly.append(target)
+                    if struck[target] == every_color:
+                        break
+            else:  # no position lost its last color
                 result = walk(
-                    pos + 1, resuming_here and color == resume_from[pos - 1]
+                    pos + 1,
+                    used | mark,
+                    resuming_here and color == resume_from[pos - 1],
                 )
                 if result is not None:
                     return result
+            for target in newly:
+                struck[target] ^= mark
+            holders[color] = mine ^ here
         return None
 
     try:
-        witness = walk(1, resume_from is not None)
+        witness = walk(1, 0, resume_from is not None)
     except _SearchBudget:
         return BadSearch(coloring=None, exhausted=False, nodes=nodes)
+    finally:
+        # walk refers to itself; breaking the cycle frees the tables now
+        # rather than at the next cyclic collection.
+        del walk
     if witness is not None:
         return BadSearch(coloring=witness, exhausted=False, nodes=nodes)
     return BadSearch(coloring=None, exhausted=True, nodes=nodes)
@@ -243,18 +315,61 @@ class ThresholdRecord:
 
 
 def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
-    """Fixed decomposition of the c(1)=0 coloring space by short prefixes.
+    """Fixed decomposition of the coloring space by short prefixes, in
+    lexicographic order, each listing its colors in first-use order (the
+    rule find_bad_coloring applies to free positions).
 
     Depends only on (r, M), never on the worker count, so any schedule
     explores the same tasks and merges to the same answer.
     """
-    depth = min(2, max(M - 1, 0))
-    return [(0,) + extra for extra in product(range(r), repeat=depth)]
+    prefixes = [(0,)]
+    for _ in range(min(2, max(M - 1, 0))):
+        prefixes = [
+            prefix + (color,)
+            for prefix in prefixes
+            for color in range(min(max(prefix) + 2, r))
+        ]
+    return prefixes
 
 
-def _run_prefix_task(args) -> BadSearch:
+# Set in each pool worker to a shared int: the largest M that
+# threshold_scan has finished.  The pool outlives each M, so a task the scan
+# no longer needs (one after the first witness) must stop by itself rather
+# than hold up the next M's tasks.
+_scanned_through = None
+_SETTLED_CHECK_INTERVAL = 1_000
+
+
+def _init_pool_worker(scanned_through) -> None:
+    global _scanned_through
+    _scanned_through = scanned_through
+
+
+class _TaskSettled(Exception):
+    pass
+
+
+def _run_prefix_task(args) -> BadSearch | None:
+    """One task; in a pool worker, None once its M is already settled."""
     k, r, M, budget, x_max, prefix = args
-    return find_bad_coloring(k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix)
+
+    def stop_if_settled(_prefix, _nodes) -> None:
+        if _scanned_through is not None and _scanned_through.value >= M:
+            raise _TaskSettled
+
+    try:
+        return find_bad_coloring(
+            k,
+            r,
+            M,
+            budget=budget,
+            x_max=x_max,
+            forced_prefix=prefix,
+            checkpoint=stop_if_settled,
+            checkpoint_interval=_SETTLED_CHECK_INTERVAL,
+        )
+    except _TaskSettled:
+        return None
 
 
 def _verify_escapable(record_witness: NatColoring, k: int, x_max: int | None) -> None:
@@ -271,7 +386,7 @@ def _scan_one(
     M: int,
     budget: int | None,
     x_max: int | None,
-    workers: int,
+    pool: Pool | None,
     task_hook: Callable[[int, tuple[int, ...]], BadSearch] | None = None,
 ) -> ThresholdRecord:
     prefixes = _task_prefixes(r, M)
@@ -279,19 +394,18 @@ def _scan_one(
     witness = None
     all_exhausted = True
     nodes = 0
-    with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
-        if pool is not None:
-            results = pool.imap(_run_prefix_task, tasks)
-        elif task_hook is not None:
-            results = map(task_hook, range(len(prefixes)), prefixes)
-        else:
-            results = map(_run_prefix_task, tasks)
-        for result in results:
-            nodes += result.nodes
-            if result.found:
-                witness = result.coloring
-                break
-            all_exhausted = all_exhausted and result.exhausted
+    if pool is not None:
+        results = pool.imap(_run_prefix_task, tasks)
+    elif task_hook is not None:
+        results = map(task_hook, range(len(prefixes)), prefixes)
+    else:
+        results = map(_run_prefix_task, tasks)
+    for result in results:
+        nodes += result.nodes
+        if result.found:
+            witness = result.coloring
+            break
+        all_exhausted = all_exhausted and result.exhausted
     if witness is not None:
         _verify_escapable(witness, k, x_max)
         return ThresholdRecord(k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes)
@@ -327,18 +441,26 @@ def threshold_scan(
     # extend (or truncate its view of) an earlier scan.
     records = state.completed_records()[:M_max]
     forced_seen = any(record.verdict == FORCED for record in records)
-    for M in range(len(records) + 1, M_max + 1):
-        record = _scan_one(
-            k, r, M, budget, x_max, workers, task_hook=state.task_hook_for(M)
-        )
-        if record.verdict == ESCAPABLE and forced_seen:
-            raise RuntimeError(
-                f"monotonicity violated: FORCED below M={M} but a bad coloring "
-                f"exists at M={M}"
+    opened = nullcontext()
+    if workers > 1:
+        context = get_context()
+        scanned_through = context.Value("i", 0, lock=False)
+        opened = context.Pool(workers, _init_pool_worker, (scanned_through,))
+    with opened as pool:
+        for M in range(len(records) + 1, M_max + 1):
+            record = _scan_one(
+                k, r, M, budget, x_max, pool, task_hook=state.task_hook_for(M)
             )
-        forced_seen = forced_seen or record.verdict == FORCED
-        records.append(record)
-        state.record_done(records)
+            if pool is not None:
+                scanned_through.value = M
+            if record.verdict == ESCAPABLE and forced_seen:
+                raise RuntimeError(
+                    f"monotonicity violated: FORCED below M={M} but a bad "
+                    f"coloring exists at M={M}"
+                )
+            forced_seen = forced_seen or record.verdict == FORCED
+            records.append(record)
+            state.record_done(records)
     state.finish()
     return records
 

@@ -299,7 +299,7 @@ def test_search_torn_checkpoint_write_keeps_previous_and_resumes(tmp_path, monke
 
     assert run_in("clean") == EXIT_OK
 
-    torn = tear_write(monkeypatch, "state.json", at=14)
+    torn = tear_write(monkeypatch, "state.json", at=26)
     with pytest.raises(OSError, match="simulated"):
         run_in("torn")
     monkeypatch.undo()
@@ -307,7 +307,9 @@ def test_search_torn_checkpoint_write_keeps_previous_and_resumes(tmp_path, monke
     assert torn["before"] is not None
     assert state.read_bytes() == torn["before"]
     snapshot = json.loads(state.read_text())
-    assert len(snapshot["records"]) == 7 and snapshot["in_flight"]["M"] == 8
+    assert len(snapshot["records"]) == 11 and snapshot["in_flight"]["M"] == 12
+    assert snapshot["in_flight"]["task"] == 1
+    assert snapshot["in_flight"]["prefix"] == [0, 0, 1, 0, 1]
     assert sorted(p.name for p in (tmp_path / "torn").iterdir()) == ["state.json"]
 
     assert run_in("torn") == EXIT_OK

@@ -86,6 +86,12 @@ def test_fnv1a64_matches_reference_and_frozen_anchor():
     assert fnv1a64(b"") == 14695981039346656037
 
 
+def test_fnv1a64_standard_vectors():
+    assert fnv1a64(b"") == 0xCBF29CE484222325
+    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
 @given(qvecs, st.integers(min_value=0, max_value=2**32))
 def test_seeded_hash_is_hash_xor_seed_mod_r(v, seed):
     o = SeededHashOracle(3, seed)

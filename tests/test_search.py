@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
+from sumsetlab import search
 from sumsetlab.search import (
     ESCAPABLE,
     FORCED,
@@ -42,6 +44,11 @@ def all_pair_sums_one_color(colors, X):
     opinion against has_mono_sumset; colors is a plain tuple."""
     sums = [a + b for a in X for b in X if a <= b]
     return len({colors[s - 1] for s in sums}) == 1
+
+
+def in_first_use_order(colors):
+    """Each color is 0 or at most one above the largest color before it."""
+    return all(c <= max(colors[:i], default=-1) + 1 for i, c in enumerate(colors))
 
 
 # ---------------------------------------------------------------------------
@@ -156,38 +163,70 @@ def test_find_bad_coloring_validation():
         find_bad_coloring(2, 2, 4, forced_prefix=(0, 5))
     with pytest.raises(ValueError):
         find_bad_coloring(2, 2, 4, forced_prefix=(0, 1), resume_from=(0, 0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        find_bad_coloring(2, 2, 4, resume_from=(0, -1))
 
 
 def test_find_bad_coloring_checkpoint_callback():
     calls = []
     find_bad_coloring(
-        2, 2, 12, checkpoint=lambda prefix, nodes: calls.append((prefix, nodes)), checkpoint_interval=50
+        2, 2, 14, checkpoint=lambda prefix, nodes: calls.append((prefix, nodes)), checkpoint_interval=10
     )
     assert calls
-    assert calls[0][1] == 50
+    assert calls[0][1] == 10
     assert all(a[1] < b[1] for a, b in zip(calls, calls[1:]))
     for prefix, _ in calls:
         assert all(c in (0, 1) for c in prefix)
         assert prefix[0] == 0  # color of 1 is pinned
 
 
+def brute_lex_least(k, r, M, prefix=()):
+    """Lex-least coloring of {1..M} that starts with prefix and has no
+    monochromatic k-sumset, by brute force over every coloring."""
+    for tail in product(range(r), repeat=M - len(prefix)):  # ascending
+        colors = tuple(prefix) + tail
+        if not any(
+            all_pair_sums_one_color(colors, X)
+            for X in combinations(range(1, M // 2 + 1), k)
+        ):
+            return colors
+    return None
+
+
 def test_small_universes_match_independent_enumeration():
-    """Brute force over every coloring, mono check written from scratch."""
-    for M in range(1, 11):
-        brute = None
-        for colors in product(range(2), repeat=M):
-            mono = any(
-                all_pair_sums_one_color(colors, X)
-                for X in combinations(range(1, M // 2 + 1), 2)
-            )
-            if not mono:
-                brute = colors  # lex-least, since product ascends
-                break
-        result = find_bad_coloring(2, 2, M)
-        if brute is None:
-            assert result.exhausted and not result.found
-        else:
-            assert result.coloring.colors == brute
+    """Brute force over every coloring, mono check written from scratch:
+    no pruning, no symmetry breaking."""
+    for k, r, M_max in ((2, 2, 10), (2, 3, 9), (3, 2, 12)):
+        for M in range(1, M_max + 1):
+            brute = brute_lex_least(k, r, M)
+            result = find_bad_coloring(k, r, M)
+            if brute is None:
+                assert result.exhausted and not result.found
+            else:
+                assert result.coloring.colors == brute
+
+
+def test_non_canonical_forced_prefix_matches_independent_enumeration():
+    # (0, 2) skips color 1, so the free positions after it may still use 1
+    for M in range(2, 10):
+        result = find_bad_coloring(2, 3, M, forced_prefix=(0, 2))
+        brute = brute_lex_least(2, 3, M, prefix=(0, 2))
+        assert brute is not None
+        assert result.coloring.colors == brute
+
+
+def test_resume_from_a_mid_tree_prefix_matches_a_full_run():
+    full = find_bad_coloring(2, 3, 40)
+    prefixes = []
+    find_bad_coloring(
+        2, 3, 40, checkpoint=lambda prefix, nodes: prefixes.append(prefix), checkpoint_interval=500
+    )
+    assert len(prefixes) >= 3
+    assert all(in_first_use_order(prefix) for prefix in prefixes)
+    for prefix in prefixes:
+        resumed = find_bad_coloring(2, 3, 40, resume_from=prefix)
+        assert resumed.coloring == full.coloring
+        assert resumed.nodes < full.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +254,13 @@ def test_task_prefixes_fixed_decomposition():
     assert _task_prefixes(2, 1) == [(0,)]
     assert _task_prefixes(2, 2) == [(0, 0), (0, 1)]
     assert _task_prefixes(2, 5) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    assert len(_task_prefixes(3, 9)) == 9
-    assert all(prefix[0] == 0 for prefix in _task_prefixes(3, 9))
+    assert _task_prefixes(3, 9) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    assert all(in_first_use_order(prefix) for prefix in _task_prefixes(3, 9))
+    # every first-use-order prefix of length 3 is a task, so the tasks cover
+    # the symmetry-reduced coloring space
+    assert _task_prefixes(3, 9) == [
+        prefix for prefix in product(range(3), repeat=3) if in_first_use_order(prefix)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +287,42 @@ def test_threshold_scan_singletons():
 
 
 def test_threshold_scan_worker_count_is_invisible():
-    sequential = threshold_scan(2, 2, LEAST_FORCED_M)
-    pooled = threshold_scan(2, 2, LEAST_FORCED_M, workers=2)
-    assert pooled == sequential
-    assert [rec.witness for rec in pooled] == [rec.witness for rec in sequential]
+    for k, r, M_max in ((2, 2, LEAST_FORCED_M), (2, 3, 20)):
+        sequential = threshold_scan(k, r, M_max)
+        pooled = threshold_scan(k, r, M_max, workers=2)
+        assert pooled == sequential
+        assert [rec.witness for rec in pooled] == [rec.witness for rec in sequential]
+
+
+def test_threshold_scan_opens_one_pool_per_scan(monkeypatch):
+    pools = []
+    real_get_context = search.get_context
+
+    class CountingContext:
+        def __init__(self, context):
+            self.context = context
+
+        def __getattr__(self, name):
+            return getattr(self.context, name)
+
+        def Pool(self, processes, *args, **kwargs):
+            pools.append(processes)
+            return self.context.Pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(search, "get_context", lambda *a: CountingContext(real_get_context(*a)))
+    assert len(threshold_scan(2, 2, 8, workers=2)) == 8
+    assert pools == [2]
+    threshold_scan(2, 2, 8)
+    assert pools == [2]  # a single worker opens no pool
+
+
+def test_pool_task_stops_once_its_universe_is_settled(monkeypatch):
+    # (0, 1, 0) at M = 41 takes about 10k nodes, so it reaches the check
+    task = (2, 3, 41, None, None, (0, 1, 0))
+    monkeypatch.setattr(search, "_scanned_through", SimpleNamespace(value=40))
+    assert search._run_prefix_task(task).found
+    monkeypatch.setattr(search, "_scanned_through", SimpleNamespace(value=41))
+    assert search._run_prefix_task(task) is None
 
 
 def test_threshold_scan_budget_gives_undecided():
@@ -299,22 +375,26 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     real_write = _ScanCheckpoint._write
     writes = {"n": 0}
 
-    def crash_on_fourteenth(self):
+    def crash_on_twenty_sixth(self):
         writes["n"] += 1
-        if writes["n"] == 14:
+        if writes["n"] == 26:
             raise RuntimeError("simulated crash")
         real_write(self)
 
-    monkeypatch.setattr(_ScanCheckpoint, "_write", crash_on_fourteenth)
+    monkeypatch.setattr(_ScanCheckpoint, "_write", crash_on_twenty_sixth)
     with pytest.raises(RuntimeError, match="simulated crash"):
         threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
     monkeypatch.setattr(_ScanCheckpoint, "_write", real_write)
 
+    # The crash lands in the second task of M = 12, after the first one
+    # was exhausted, so resuming must skip a finished task and fast-forward
+    # inside the next one.
     snapshot = json.loads(path.read_text())
-    assert len(snapshot["records"]) == 7
+    assert len(snapshot["records"]) == 11
     in_flight = snapshot["in_flight"]
-    assert in_flight["M"] == 8 and in_flight["task"] == 0
-    assert in_flight["prefix"] == [0, 0, 0, 1, 0, 0, 0, 1]
+    assert in_flight["M"] == 12 and in_flight["task"] == 1
+    assert in_flight["prefix"] == [0, 0, 1, 0, 1]
+    assert in_flight["tasks_done"] == [{"task": 0, "exhausted": True, "nodes": 15}]
 
     resumed = threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
     assert resumed == baseline
