@@ -29,8 +29,7 @@ exhausted: every coloring admits a monochromatic sumset), or UNDECIDED
 (budget ran out).  The coloring space is always split into the same fixed
 prefix tasks whatever the worker count, each task gets the full budget,
 and the first witness in task order wins, so results are reproducible
-bit for bit under any parallelism.  One worker pool serves the whole
-scan, and a pooled task whose M is already settled stops early.  FORCED
+bit for bit under any parallelism.  FORCED
 verdicts are monotone in M; the scan asserts this and aborts loudly on a
 violation, since one would mean the X-range convention was broken
 somewhere.
@@ -48,10 +47,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import get_context
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from multiprocessing.pool import Pool
+from typing import Callable, Iterable, Sequence
 
 FORCED = "FORCED"
 ESCAPABLE = "ESCAPABLE"
@@ -151,10 +147,13 @@ def _strike_table(k: int, M: int, limit: int) -> tuple[list[list[int]], list[lis
     memory for k = 3.)
 
     p < 2x, so once p is colored all of mask is colored; if it is all one
-    color c, giving 2x the color c would make X + X monochromatic.
+    color c, giving 2x the color c would make X + X monochromatic.  For
+    k = 1 the lists are empty: X = {x} has no sum but 2x to file under.
     """
     masks: list[list[int]] = [[] for _ in range(M + 1)]
     targets: list[list[int]] = [[] for _ in range(M + 1)]
+    if k == 1:
+        return masks, targets
     # (members, sums) bitmasks of every (k-1)-subset S, grown one element at
     # a time: adding y > max(S) adds S + y and 2y to S + S.
     partial = [(0, 0)]
@@ -320,7 +319,8 @@ def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
     rule find_bad_coloring applies to free positions).
 
     Depends only on (r, M), never on the worker count, so any schedule
-    explores the same tasks and merges to the same answer.
+    explores the same tasks and merges to the same answer.  Checkpoints
+    store it beside the in-flight task index and are refused if it differs.
     """
     prefixes = [(0,)]
     for _ in range(min(2, max(M - 1, 0))):
@@ -332,44 +332,9 @@ def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
     return prefixes
 
 
-# Set in each pool worker to a shared int: the largest M that
-# threshold_scan has finished.  The pool outlives each M, so a task the scan
-# no longer needs (one after the first witness) must stop by itself rather
-# than hold up the next M's tasks.
-_scanned_through = None
-_SETTLED_CHECK_INTERVAL = 1_000
-
-
-def _init_pool_worker(scanned_through) -> None:
-    global _scanned_through
-    _scanned_through = scanned_through
-
-
-class _TaskSettled(Exception):
-    pass
-
-
-def _run_prefix_task(args) -> BadSearch | None:
-    """One task; in a pool worker, None once its M is already settled."""
+def _run_prefix_task(args) -> BadSearch:
     k, r, M, budget, x_max, prefix = args
-
-    def stop_if_settled(_prefix, _nodes) -> None:
-        if _scanned_through is not None and _scanned_through.value >= M:
-            raise _TaskSettled
-
-    try:
-        return find_bad_coloring(
-            k,
-            r,
-            M,
-            budget=budget,
-            x_max=x_max,
-            forced_prefix=prefix,
-            checkpoint=stop_if_settled,
-            checkpoint_interval=_SETTLED_CHECK_INTERVAL,
-        )
-    except _TaskSettled:
-        return None
+    return find_bad_coloring(k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix)
 
 
 def _verify_escapable(record_witness: NatColoring, k: int, x_max: int | None) -> None:
@@ -386,7 +351,7 @@ def _scan_one(
     M: int,
     budget: int | None,
     x_max: int | None,
-    pool: Pool | None,
+    workers: int,
     task_hook: Callable[[int, tuple[int, ...]], BadSearch] | None = None,
 ) -> ThresholdRecord:
     prefixes = _task_prefixes(r, M)
@@ -394,18 +359,19 @@ def _scan_one(
     witness = None
     all_exhausted = True
     nodes = 0
-    if pool is not None:
-        results = pool.imap(_run_prefix_task, tasks)
-    elif task_hook is not None:
-        results = map(task_hook, range(len(prefixes)), prefixes)
-    else:
-        results = map(_run_prefix_task, tasks)
-    for result in results:
-        nodes += result.nodes
-        if result.found:
-            witness = result.coloring
-            break
-        all_exhausted = all_exhausted and result.exhausted
+    with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
+        if pool is not None:
+            results = pool.imap(_run_prefix_task, tasks)
+        elif task_hook is not None:
+            results = map(task_hook, range(len(prefixes)), prefixes)
+        else:
+            results = map(_run_prefix_task, tasks)
+        for result in results:
+            nodes += result.nodes
+            if result.found:
+                witness = result.coloring
+                break
+            all_exhausted = all_exhausted and result.exhausted
     if witness is not None:
         _verify_escapable(witness, k, x_max)
         return ThresholdRecord(k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes)
@@ -441,26 +407,18 @@ def threshold_scan(
     # extend (or truncate its view of) an earlier scan.
     records = state.completed_records()[:M_max]
     forced_seen = any(record.verdict == FORCED for record in records)
-    opened = nullcontext()
-    if workers > 1:
-        context = get_context()
-        scanned_through = context.Value("i", 0, lock=False)
-        opened = context.Pool(workers, _init_pool_worker, (scanned_through,))
-    with opened as pool:
-        for M in range(len(records) + 1, M_max + 1):
-            record = _scan_one(
-                k, r, M, budget, x_max, pool, task_hook=state.task_hook_for(M)
+    for M in range(len(records) + 1, M_max + 1):
+        record = _scan_one(
+            k, r, M, budget, x_max, workers, task_hook=state.task_hook_for(M)
+        )
+        if record.verdict == ESCAPABLE and forced_seen:
+            raise RuntimeError(
+                f"monotonicity violated: FORCED below M={M} but a bad coloring "
+                f"exists at M={M}"
             )
-            if pool is not None:
-                scanned_through.value = M
-            if record.verdict == ESCAPABLE and forced_seen:
-                raise RuntimeError(
-                    f"monotonicity violated: FORCED below M={M} but a bad "
-                    f"coloring exists at M={M}"
-                )
-            forced_seen = forced_seen or record.verdict == FORCED
-            records.append(record)
-            state.record_done(records)
+        forced_seen = forced_seen or record.verdict == FORCED
+        records.append(record)
+        state.record_done(records)
     state.finish()
     return records
 
@@ -479,6 +437,14 @@ class _ScanCheckpoint:
             if loaded.get("config") != self.config:
                 raise ValueError(
                     f"checkpoint {self.path} was written for config {loaded.get('config')}"
+                )
+            # The in-flight task indices mean something only under the task
+            # list they were written with.
+            in_flight = loaded.get("in_flight")
+            if in_flight is not None and in_flight.get("tasks") != _task_list(r, in_flight["M"]):
+                raise ValueError(
+                    f"checkpoint {self.path} splits M={in_flight['M']} into "
+                    f"tasks {in_flight.get('tasks')}, not {_task_list(r, in_flight['M'])}"
                 )
             self.state = loaded
 
@@ -519,6 +485,7 @@ class _ScanCheckpoint:
         tasks_done: list[dict] = [
             {"task": t, "exhausted": e, "nodes": n} for t, (e, n) in sorted(done.items())
         ]
+        task_list = _task_list(self.config["r"], M)
 
         def hook(index: int, prefix: tuple[int, ...]) -> BadSearch:
             if index in done:
@@ -528,6 +495,7 @@ class _ScanCheckpoint:
             def save(dfs_prefix: tuple[int, ...], nodes: int) -> None:
                 self.state["in_flight"] = {
                     "M": M,
+                    "tasks": task_list,
                     "task": index,
                     "prefix": list(dfs_prefix),
                     "nodes": nodes,
@@ -576,6 +544,11 @@ class _ScanCheckpoint:
 
     def _write(self) -> None:
         write_text_atomic(self.path, json.dumps(self.state, sort_keys=True, indent=2) + "\n")
+
+
+def _task_list(r: int, M: int) -> list[list[int]]:
+    """_task_prefixes(r, M) as a checkpoint stores it."""
+    return [list(prefix) for prefix in _task_prefixes(r, M)]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

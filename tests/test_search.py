@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import json
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 
-from sumsetlab import search
 from sumsetlab.search import (
     ESCAPABLE,
     FORCED,
@@ -196,7 +194,7 @@ def brute_lex_least(k, r, M, prefix=()):
 def test_small_universes_match_independent_enumeration():
     """Brute force over every coloring, mono check written from scratch:
     no pruning, no symmetry breaking."""
-    for k, r, M_max in ((2, 2, 10), (2, 3, 9), (3, 2, 12)):
+    for k, r, M_max in ((2, 2, 10), (2, 3, 9), (3, 2, 12), (1, 1, 4), (1, 2, 4), (2, 1, 6)):
         for M in range(1, M_max + 1):
             brute = brute_lex_least(k, r, M)
             result = find_bad_coloring(k, r, M)
@@ -284,6 +282,13 @@ def test_threshold_scan_singletons():
     records = threshold_scan(1, 2, 4)
     assert [rec.verdict for rec in records] == [ESCAPABLE, FORCED, FORCED, FORCED]
     assert records[0].witness.colors == (0,)
+    # with one color, X = {1} is monochromatic as soon as 2 is colored
+    records = threshold_scan(1, 1, 3)
+    assert [rec.verdict for rec in records] == [ESCAPABLE, FORCED, FORCED]
+    assert records[0].witness.colors == (0,)
+    # and with no X at all, every coloring is bad
+    records = threshold_scan(1, 1, 3, x_max=0)
+    assert [rec.witness.colors for rec in records] == [(0,), (0, 0), (0, 0, 0)]
 
 
 def test_threshold_scan_worker_count_is_invisible():
@@ -292,37 +297,6 @@ def test_threshold_scan_worker_count_is_invisible():
         pooled = threshold_scan(k, r, M_max, workers=2)
         assert pooled == sequential
         assert [rec.witness for rec in pooled] == [rec.witness for rec in sequential]
-
-
-def test_threshold_scan_opens_one_pool_per_scan(monkeypatch):
-    pools = []
-    real_get_context = search.get_context
-
-    class CountingContext:
-        def __init__(self, context):
-            self.context = context
-
-        def __getattr__(self, name):
-            return getattr(self.context, name)
-
-        def Pool(self, processes, *args, **kwargs):
-            pools.append(processes)
-            return self.context.Pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(search, "get_context", lambda *a: CountingContext(real_get_context(*a)))
-    assert len(threshold_scan(2, 2, 8, workers=2)) == 8
-    assert pools == [2]
-    threshold_scan(2, 2, 8)
-    assert pools == [2]  # a single worker opens no pool
-
-
-def test_pool_task_stops_once_its_universe_is_settled(monkeypatch):
-    # (0, 1, 0) at M = 41 takes about 10k nodes, so it reaches the check
-    task = (2, 3, 41, None, None, (0, 1, 0))
-    monkeypatch.setattr(search, "_scanned_through", SimpleNamespace(value=40))
-    assert search._run_prefix_task(task).found
-    monkeypatch.setattr(search, "_scanned_through", SimpleNamespace(value=41))
-    assert search._run_prefix_task(task) is None
 
 
 def test_threshold_scan_budget_gives_undecided():
@@ -369,6 +343,26 @@ def test_checkpoint_rejects_other_config(tmp_path):
         threshold_scan(2, 2, 4, budget=10, checkpoint_path=path)
 
 
+def test_checkpoint_rejects_other_task_list(tmp_path):
+    # Written when r = 3 split into all nine prefixes starting with 0: the
+    # run was inside task 5, (0, 1, 2), which no task of today's list of
+    # five covers, so its task indices must not be reused.
+    path = tmp_path / "scan.json"
+    done = [{"task": t, "exhausted": True, "nodes": 10} for t in range(5)]
+    state = {
+        "config": {"k": 2, "r": 3, "budget": None, "x_max": None},
+        "records": [],
+        "in_flight": {"M": 8, "task": 5, "prefix": [0, 1, 2, 0], "nodes": 40, "tasks_done": done},
+    }
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="into tasks None"):
+        threshold_scan(2, 3, 8, checkpoint_path=path)
+    state["in_flight"]["tasks"] = [list(p) for p in product(range(1), range(3), range(3))]
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="into tasks"):
+        threshold_scan(2, 3, 8, checkpoint_path=path)
+
+
 def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     baseline = threshold_scan(2, 2, 12)
     path = tmp_path / "scan.json"
@@ -393,6 +387,7 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     assert len(snapshot["records"]) == 11
     in_flight = snapshot["in_flight"]
     assert in_flight["M"] == 12 and in_flight["task"] == 1
+    assert in_flight["tasks"] == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
     assert in_flight["prefix"] == [0, 0, 1, 0, 1]
     assert in_flight["tasks_done"] == [{"task": 0, "exhausted": True, "nodes": 15}]
 
