@@ -12,7 +12,12 @@ make such an assignment coherent:
 
 check_cl4 treats CL3 together with type uniformity (|u| = |v| implies
 |W(u)| = |W(v)|) as preconditions and reports their failures separately
-from genuine restriction-law violations.
+from genuine restriction-law violations.  Under them CL4 is a statement
+about ranks, which is how check_cl4 decides it: CL3 puts W(u1) inside
+W(u2) whenever u1 is inside u2, so the restriction law for
+(u1, u2, u1', u2') holds exactly when W(u1) takes the same ranks inside
+W(u2) as W(u1') takes inside W(u2'), and h(u) = v holds exactly when u
+takes the same ranks in W(u) as v takes in W(v).
 
 generate_canonical builds coherent instances: W(u) is u plus one block of
 fresh points per subset w of u, where blocks are consecutive integer runs
@@ -57,17 +62,8 @@ class OrderIso:
         except ValueError:
             raise ValueError(f"{index} is not in the source {self.source}") from None
 
-    def inverse(self) -> "OrderIso":
-        return OrderIso(source=self.target, target=self.source)
-
     def map_set(self, indices: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(self(i) for i in indices))
-
-    def then(self, other: "OrderIso") -> "OrderIso":
-        """Composition: first self, then other."""
-        if not set(self.target) <= set(other.source):
-            raise ValueError("composition undefined: target escapes the next source")
-        return OrderIso(source=self.source, target=tuple(other(x) for x in self.target))
 
 
 def order_iso(source: Iterable[int], target: Iterable[int]) -> OrderIso:
@@ -204,28 +200,27 @@ def check_cl3(assignment: SupportAssignment) -> CheckReport:
     return CheckReport(law="CL3", violations=tuple(violations), checks=checks)
 
 
-def _isomorphic_nested_pairs(assignment: SupportAssignment):
-    """All (u1, u2, u1', u2') with u1 inside u2, u1' inside u2', and the
-    order isomorphism of u2 onto u2' carrying u1 onto u1'."""
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for u in assignment.W:
-        by_size.setdefault(len(u), []).append(u)
-    for size, sets in sorted(by_size.items()):
-        ordered = sorted(sets, key=_sorted_subset)
-        for u2 in ordered:
-            big = _sorted_subset(u2)
-            for u2p in ordered:
-                bigp = _sorted_subset(u2p)
-                for positions_size in range(size + 1):
-                    for positions in combinations(range(size), positions_size):
-                        u1 = frozenset(big[p] for p in positions)
-                        u1p = frozenset(bigp[p] for p in positions)
-                        yield u1, u2, u1p, u2p
+def _ranks(inner: Sequence[int], outer: Sequence[int]) -> tuple[int, ...]:
+    """Ranks inside the increasing tuple outer of the points of inner."""
+    rank = {x: i for i, x in enumerate(outer)}
+    return tuple(rank[x] for x in inner)
 
 
 def check_cl4(assignment: SupportAssignment) -> CheckReport:
     """Restriction law plus h(u) = v, with CL3 and type uniformity as
-    separately reported preconditions."""
+    separately reported preconditions.
+
+    Once they hold, both clauses reduce to comparing rank tuples.  For
+    u1 inside u2, CL3 gives W(u1) = W(u1) & W(u2), so W(u1) lies inside
+    W(u2); type uniformity gives equal sizes to the supports being matched.
+    The order isomorphism of W(u2) onto W(u2') then restricts on W(u1) to
+    that of W(u1) onto W(u1') exactly when W(u1) has the same ranks inside
+    W(u2) as W(u1') has inside W(u2'); and h(W(u), W(v)) sends u to v
+    exactly when u has the same ranks in W(u) as v has in W(v).  Each rank
+    tuple is computed once.  The pairs are visited as quadruples
+    (u1, u2, u1', u2') with u1, u1' at the same positions of u2, u2', one
+    check each, and OrderIso objects are built only to describe a failure.
+    """
     preconditions = []
     cl3 = check_cl3(assignment)
     if not cl3.clean:
@@ -244,36 +239,52 @@ def check_cl4(assignment: SupportAssignment) -> CheckReport:
             law="CL4", violations=(), precondition_failures=tuple(preconditions), checks=0
         )
 
+    W = assignment.W
     violations = []
     checks = 0
     by_size: dict[int, list[frozenset[int]]] = {}
-    for u in assignment.W:
+    for u in W:
         by_size.setdefault(len(u), []).append(u)
-    for size, sets in sorted(by_size.items()):
-        ordered = sorted(sets, key=_sorted_subset)
+    ordered_by_size = [
+        (size, sorted(sets, key=_sorted_subset)) for size, sets in sorted(by_size.items())
+    ]
+    for _, ordered in ordered_by_size:
+        own = {u: _ranks(_sorted_subset(u), W[u]) for u in ordered}
         for u in ordered:
             for v in ordered:
                 checks += 1
-                h = order_iso(assignment.W[u], assignment.W[v])
-                image = h.map_set(u)
-                if image != _sorted_subset(v):
+                if own[u] != own[v]:
+                    image = order_iso(W[u], W[v]).map_set(u)
                     violations.append(
                         f"h(W({_sorted_subset(u)}), W({_sorted_subset(v)})) sends "
                         f"{_sorted_subset(u)} to {image}, not {_sorted_subset(v)}"
                     )
-    for u1, u2, u1p, u2p in _isomorphic_nested_pairs(assignment):
-        checks += 1
-        outer = order_iso(assignment.W[u2], assignment.W[u2p])
-        inner = order_iso(assignment.W[u1], assignment.W[u1p])
-        restricted = {i: outer(i) for i in assignment.W[u1]}
-        law = {i: inner(i) for i in assignment.W[u1]}
-        if restricted != law:
-            where = sorted(i for i in restricted if restricted[i] != law[i])
-            violations.append(
-                f"restriction of h(W({_sorted_subset(u2)}), W({_sorted_subset(u2p)})) "
-                f"to W({_sorted_subset(u1)}) disagrees with "
-                f"h(W({_sorted_subset(u1)}), W({_sorted_subset(u1p)})) at {where}"
-            )
+    for size, ordered in ordered_by_size:
+        positions_list = [
+            positions for k in range(size + 1) for positions in combinations(range(size), k)
+        ]
+        # For each u2, the subsets u1 taken at each position set, and the
+        # ranks of W(u1) inside W(u2).
+        u1s = {}
+        nested = {}
+        for u2 in ordered:
+            big = _sorted_subset(u2)
+            u1s[u2] = [frozenset(big[p] for p in positions) for positions in positions_list]
+            nested[u2] = [_ranks(W[u1], W[u2]) for u1 in u1s[u2]]
+        for u2 in ordered:
+            for u2p in ordered:
+                for u1, u1p, ranks, ranksp in zip(u1s[u2], u1s[u2p], nested[u2], nested[u2p]):
+                    checks += 1
+                    if ranks == ranksp:
+                        continue
+                    outer = order_iso(W[u2], W[u2p])
+                    law = order_iso(W[u1], W[u1p])
+                    where = sorted(i for i in W[u1] if outer(i) != law(i))
+                    violations.append(
+                        f"restriction of h(W({_sorted_subset(u2)}), W({_sorted_subset(u2p)})) "
+                        f"to W({_sorted_subset(u1)}) disagrees with "
+                        f"h(W({_sorted_subset(u1)}), W({_sorted_subset(u1p)})) at {where}"
+                    )
     return CheckReport(law="CL4", violations=tuple(violations), checks=checks)
 
 

@@ -92,7 +92,12 @@ class FloorSumOracle(ColoringOracle):
         super().__init__(r, "floor-sum")
 
     def _color_impl(self, v: QVec) -> int:
-        total = sum((value for _, value in v.items()), start=0)
+        items = v.items()
+        # Level-pattern values are integers: sum their numerators and skip
+        # Fraction addition.  Any other vector takes the exact path.
+        if all(value.denominator == 1 for _, value in items):
+            return sum(value.numerator for _, value in items) % self.r
+        total = sum((value for _, value in items), start=0)
         return math.floor(total) % self.r
 
 

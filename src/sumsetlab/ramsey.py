@@ -8,9 +8,12 @@ candidate top t, grow a set of points that agree with t in the last slot of
 every tuple, and then extract a monochromatic set for the reduced coloring
 g(y) = f(y, t); dead ends backtrack, and with an unbounded budget the
 procedure is a complete decision method for "some m members plus a top are
-fully constant".  multi_homogeneous chains searches for several colorings
-by iterated restriction and falls back to a direct simultaneous scan so
-that its NotFound is exhaustive too.
+fully constant".  Agreement is checked incrementally: the candidates passed
+down to a chain already agree with t on every tuple y that avoids the
+newest chain point, so only the y through that point are colored.
+multi_homogeneous chains searches for several colorings by iterated
+restriction and falls back to a direct simultaneous scan so that its
+NotFound is exhaustive too.
 
 Every returned set is re-checked by verify_homogeneous, a deliberately
 plain enumerator that shares no logic with the searches.
@@ -160,6 +163,14 @@ def greedy_end_homogeneous(
     g(y) = f(y + (t,)) and, on success, returns the extracted members with
     top t; otherwise it backtracks.  With an unexhausted budget a NotFound
     means no m members plus top are fully constant anywhere in the points.
+
+    Invariant: a chain receives its parent's viable points above its newest
+    point, and each of them already agrees with t on every y that avoids
+    the newest point.  So a chain checks only y = z + (chain[-1],) for the
+    (n-2)-tuples z below it; the viable lists, node counts and failure
+    diagnostics are those of checking every y afresh.  The y are generated
+    per candidate, not listed per chain: such a list, held through the
+    recursion, showed as a higher peak RSS.
     """
     n = coloring.arity
     if n < 2:
@@ -171,21 +182,22 @@ def greedy_end_homogeneous(
     deepest_top: int | None = None
     deepest_constraints: tuple = ()
 
-    def grow(top: int, below: list[int], chain: list[int], reduced: TupleColoring):
+    def grow(top: int, candidates: list[int], chain: list[int], reduced: TupleColoring):
         nonlocal nodes, deepest, deepest_top, deepest_constraints
         nodes += 1
         if nodes > cap:
             raise _BudgetExceeded
-        viable = []
-        floor = chain[-1] if chain else None
-        for alpha in below:
-            if floor is not None and alpha <= floor:
-                continue
-            if all(
-                coloring.color(y + (alpha,)) == coloring.color(y + (top,))
-                for y in combinations(chain, n - 1)
-            ):
-                viable.append(alpha)
+        viable = candidates
+        if chain:
+            newest, head = chain[-1], chain[:-1]
+            viable = [
+                alpha
+                for alpha in candidates
+                if all(
+                    coloring.color(z + (newest, alpha)) == coloring.color(z + (newest, top))
+                    for z in combinations(head, n - 2)
+                )
+            ]
         if not viable:
             found = brute_homogeneous(reduced, m, points=chain)
             if isinstance(found, HomogeneousSet):
@@ -200,8 +212,8 @@ def greedy_end_homogeneous(
                     (y, coloring.color(y + (top,))) for y in combinations(chain, n - 1)
                 )
             return None
-        for alpha in viable:
-            result = grow(top, below, chain + [alpha], reduced)
+        for i, alpha in enumerate(viable):
+            result = grow(top, viable[i + 1 :], chain + [alpha], reduced)
             if result is not None:
                 return result
         return None

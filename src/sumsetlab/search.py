@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -337,6 +338,60 @@ def _run_prefix_task(args) -> BadSearch:
     return find_bad_coloring(k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix)
 
 
+def _report_prefix_task(writer, args) -> None:
+    try:
+        outcome = (True, _run_prefix_task(args))
+    except Exception as error:
+        outcome = (False, error)
+    writer.send(outcome)
+    writer.close()
+
+
+def _parallel_results(tasks: list[tuple], workers: int):
+    """Yield the results of tasks in task order, each computed in a child
+    process of its own, at most `workers` at a time.
+
+    Each child reports on a pipe nobody else writes to, so closing the
+    generator early may kill the children still running.  A Pool cannot be
+    stopped that way: its workers share one result queue and its lock, and
+    a worker killed by Pool.terminate while holding that lock hangs the
+    parent for good.
+    """
+    ctx = get_context()
+    todo = list(enumerate(tasks))[::-1]
+    running = {}
+    done = {}
+    yielded = 0
+    try:
+        while yielded < len(tasks):
+            while todo and len(running) < workers:
+                index, task = todo.pop()
+                reader, writer = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_report_prefix_task, args=(writer, task), daemon=True)
+                child.start()
+                writer.close()
+                running[reader] = (index, child)
+            for reader in wait(list(running)):
+                index, child = running.pop(reader)
+                try:
+                    done[index] = reader.recv()
+                except EOFError:
+                    done[index] = (False, RuntimeError(f"search task {index} died"))
+                reader.close()
+                child.join()
+            while yielded in done:
+                ok, value = done.pop(yielded)
+                if not ok:
+                    raise value
+                yield value
+                yielded += 1
+    finally:
+        for reader, (_, child) in running.items():
+            child.kill()
+            child.join()
+            reader.close()
+
+
 def _verify_escapable(record_witness: NatColoring, k: int, x_max: int | None) -> None:
     leftover = has_mono_sumset(record_witness, k, x_max=x_max)
     if leftover is not None:
@@ -359,13 +414,13 @@ def _scan_one(
     witness = None
     all_exhausted = True
     nodes = 0
-    with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
-        if pool is not None:
-            results = pool.imap(_run_prefix_task, tasks)
-        elif task_hook is not None:
-            results = map(task_hook, range(len(prefixes)), prefixes)
-        else:
-            results = map(_run_prefix_task, tasks)
+    if workers > 1:
+        schedule = closing(_parallel_results(tasks, workers))
+    elif task_hook is not None:
+        schedule = nullcontext(map(task_hook, range(len(prefixes)), prefixes))
+    else:
+        schedule = nullcontext(map(_run_prefix_task, tasks))
+    with schedule as results:
         for result in results:
             nodes += result.nodes
             if result.found:

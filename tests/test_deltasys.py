@@ -9,7 +9,9 @@ CL4 exposes it.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -68,21 +70,10 @@ def test_order_iso_validation():
 def test_order_iso_inverse_round_trip(sides):
     a, b = sides
     h = order_iso(a, b)
+    back = order_iso(b, a)
     for x in a:
-        assert h.inverse()(h(x)) == x
-    assert h.inverse().inverse() == h
-
-
-@given(equal_size_sets(3))
-def test_order_iso_composition(sides):
-    a, b, c = sides
-    composed = order_iso(a, b).then(order_iso(b, c))
-    assert composed == order_iso(a, c)
-
-
-def test_order_iso_composition_requires_matching_sets():
-    with pytest.raises(ValueError):
-        order_iso({1, 2}, {3, 4}).then(order_iso({5, 6}, {7, 8}))
+        assert back(h(x)) == x
+    assert order_iso(h.target, h.source) == back
 
 
 def test_relabel_pushes_support():
@@ -113,7 +104,7 @@ def test_relabel_inverse_law(entries, fresh):
     v = QVec(entries)
     source = sorted(v.support)
     h = order_iso(source, sorted(fresh)[: len(source)])
-    assert relabel(relabel(v, h), h.inverse()) == v
+    assert relabel(relabel(v, h), order_iso(h.target, h.source)) == v
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +294,159 @@ def test_every_fresh_point_removal_is_caught():
                 point,
             )
     assert mutations > 20
+
+
+# ---------------------------------------------------------------------------
+# rank signatures against order isomorphisms
+
+
+def _key(u):
+    return tuple(sorted(u))
+
+
+def reference_check_cl4(assignment):
+    """CL4 decided by building the order isomorphisms of every pair.
+
+    check_cl4 compares rank tuples instead; both must give the same
+    violations, precondition failures and check count.
+    """
+    preconditions = []
+    cl3 = check_cl3(assignment)
+    if not cl3.clean:
+        preconditions.append(f"CL3 fails first: {len(cl3.violations)} violations")
+    sizes_by_type = {}
+    for u, support in assignment.W.items():
+        sizes_by_type.setdefault(len(u), {}).setdefault(len(support), []).append(u)
+    for size, groups in sorted(sizes_by_type.items()):
+        if len(groups) > 1:
+            detail = ", ".join(
+                f"|W|={w} for {sorted(map(_key, us))}" for w, us in sorted(groups.items())
+            )
+            preconditions.append(f"type uniformity fails at |u|={size}: {detail}")
+    if preconditions:
+        return CheckReport(
+            law="CL4", violations=(), precondition_failures=tuple(preconditions), checks=0
+        )
+    W = assignment.W
+    violations = []
+    checks = 0
+    by_size = {}
+    for u in W:
+        by_size.setdefault(len(u), []).append(u)
+    for size, sets in sorted(by_size.items()):
+        ordered = sorted(sets, key=_key)
+        for u in ordered:
+            for v in ordered:
+                checks += 1
+                image = order_iso(W[u], W[v]).map_set(u)
+                if image != _key(v):
+                    violations.append(
+                        f"h(W({_key(u)}), W({_key(v)})) sends {_key(u)} to {image}, not {_key(v)}"
+                    )
+    for size, sets in sorted(by_size.items()):
+        ordered = sorted(sets, key=_key)
+        for u2 in ordered:
+            for u2p in ordered:
+                for k in range(size + 1):
+                    for positions in combinations(range(size), k):
+                        u1 = frozenset(_key(u2)[p] for p in positions)
+                        u1p = frozenset(_key(u2p)[p] for p in positions)
+                        checks += 1
+                        outer = order_iso(W[u2], W[u2p])
+                        inner = order_iso(W[u1], W[u1p])
+                        restricted = {i: outer(i) for i in W[u1]}
+                        law = {i: inner(i) for i in W[u1]}
+                        if restricted != law:
+                            where = sorted(i for i in restricted if restricted[i] != law[i])
+                            violations.append(
+                                f"restriction of h(W({_key(u2)}), W({_key(u2p)})) "
+                                f"to W({_key(u1)}) disagrees with "
+                                f"h(W({_key(u1)}), W({_key(u1p)})) at {where}"
+                            )
+    return CheckReport(law="CL4", violations=tuple(violations), checks=checks)
+
+
+def swapped(assignment, a, b):
+    """The assignment with the points a and b exchanged everywhere.
+
+    a and b are both in E or both outside it, so the domain is kept; the
+    swap is a bijection, so CL3 and type uniformity survive it.
+    """
+    swap = {a: b, b: a}
+    table = {
+        frozenset(swap.get(x, x) for x in u): tuple(sorted(swap.get(x, x) for x in support))
+        for u, support in assignment.W.items()
+    }
+    return SupportAssignment(E=assignment.E, d=assignment.d, W=table)
+
+
+def random_instance(rng):
+    E = tuple(sorted(rng.sample(range(12), rng.randint(1, 4))))
+    d = rng.randint(0, 3)
+    pad = {size: rng.randint(0, 2) for size in range(d + 1)}
+    return generate_canonical(E, d, pad)
+
+
+def assert_same_cl4(assignment):
+    ours, ref = check_cl4(assignment), reference_check_cl4(assignment)
+    assert ours.violations == ref.violations
+    assert ours.precondition_failures == ref.precondition_failures
+    assert ours.checks == ref.checks
+    return ours
+
+
+def test_rank_signatures_match_order_isos_on_swapped_instances():
+    rng = random.Random(20261018)
+    dirty = 0
+    for _ in range(150):
+        g = random_instance(rng)
+        points = sorted({p for support in g.W.values() for p in support})
+        fresh = [p for p in points if p not in g.E]
+        pools = [pool for pool in (list(g.E), fresh) if len(pool) >= 2]
+        if not pools:
+            continue
+        a, b = rng.sample(rng.choice(pools), 2)
+        mutated = swapped(g, a, b)
+        assert check_cl3(mutated).clean
+        report = assert_same_cl4(mutated)
+        assert report.precondition_failures == ()
+        dirty += bool(report.violations)
+    assert dirty >= 15
+
+
+def test_rank_signatures_match_order_isos_on_support_mutations():
+    rng = random.Random(7)
+    tripped = 0
+    for _ in range(150):
+        g = random_instance(rng)
+        u = rng.choice(list(g.W))
+        support = g.W[u]
+        extra = [p for p in range(max(support, default=0) + len(support) + 3) if p not in support]
+        choice = rng.randrange(3)
+        if choice == 0 and len(support) > len(u):
+            victim = rng.choice([p for p in support if p not in u])
+            mutated = g.with_support(u, tuple(p for p in support if p != victim))
+        elif choice == 1:
+            mutated = g.with_support(u, support + (rng.choice(extra),))
+        else:
+            keep = [p for p in support if p in u]
+            trade = rng.sample(extra, len(support) - len(keep))
+            mutated = g.with_support(u, tuple(keep + trade))
+        tripped += bool(assert_same_cl4(mutated).precondition_failures)
+    assert tripped >= 50
+
+
+def test_rank_signatures_match_order_isos_on_the_hand_built_cases():
+    E = (1, 2, 3)
+    const = SupportAssignment(E=E, d=1, W={u: E for u in SupportAssignment.domain_subsets(E, 1)})
+    g = generate_canonical((1, 2), 1, {0: 1, 1: 1})
+    for assignment in (
+        const,
+        g.with_support((1,), (0, 1, 3)),
+        small_instance(),
+        small_instance().with_support((0,), (0,)),
+    ):
+        assert_same_cl4(assignment)
 
 
 # ---------------------------------------------------------------------------

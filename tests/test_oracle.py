@@ -1,6 +1,8 @@
 """Coloring oracles: built-in kinds, descriptors, derived colorings, witnesses."""
 
 import copy
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -54,6 +56,19 @@ def test_floor_sum_floors_non_integral_totals():
     assert o.color(QVec({0: "1/2"})) == 0
     assert o.color(QVec({0: "3/2"})) == 1
     assert o.color(QVec({0: "3/2", 1: "1/2"})) == 0
+
+
+halves_and_thirds = st.builds(
+    Fraction, st.integers(-30, 30).filter(lambda n: n != 0), st.sampled_from((1, 1, 2, 3))
+)
+
+
+@given(st.dictionaries(indices, halves_and_thirds, max_size=6).map(QVec))
+def test_floor_sum_matches_exact_floor(v):
+    # Covers the all-integer fast path and the Fraction path alike.
+    total = sum((value for _, value in v.items()), start=Fraction(0))
+    for r in (1, 2, 3, 5):
+        assert FloorSumOracle(r).color(v) == math.floor(total) % r
 
 
 def test_every_oracle_is_deterministic():

@@ -1,5 +1,6 @@
 """Homogeneous-set searches: brute scan, end-agreement greedy, multi-level."""
 
+import math
 import random
 from itertools import combinations
 
@@ -8,6 +9,9 @@ import pytest
 from sumsetlab.oracle import FourCountOracle
 from sumsetlab.pipeline2 import derived_tuple_colorings
 from sumsetlab.ramsey import (
+    FULL_SCAN_ARITY,
+    FULL_SCAN_POINTS,
+    TRUNCATED_BUDGET,
     HomogeneousSet,
     NoHomogeneousSet,
     TupleColoring,
@@ -189,3 +193,144 @@ def test_verifier_reports_disagreements_with_both_tuples():
 def test_verifier_accepts_with_top_included():
     f = constant_coloring(2, 6)
     assert verify_homogeneous([f], (0, 1), top=5) is None
+
+
+# ---------------------------------------------------------------------------
+# incremental end agreement against a full re-check
+
+
+def reference_greedy_end_homogeneous(coloring, m, points=None, budget=None):
+    """The end-agreement search with every chain re-checking every y.
+
+    Each chain filters all points below the top afresh against every
+    (n-1)-tuple y of the chain; greedy_end_homogeneous must give the same
+    outcome while checking only the y through the newest chain point.
+    """
+    n = coloring.arity
+    pts = sorted(points) if points is not None else list(range(coloring.universe))
+    if budget is not None:
+        cap = budget
+    elif len(pts) <= FULL_SCAN_POINTS and n <= FULL_SCAN_ARITY:
+        cap = math.inf
+    else:
+        cap = TRUNCATED_BUDGET
+    state = {"nodes": 0, "deepest": (), "top": None, "constraints": ()}
+
+    class Exceeded(Exception):
+        pass
+
+    def grow(top, below, chain, reduced):
+        state["nodes"] += 1
+        if state["nodes"] > cap:
+            raise Exceeded
+        viable = []
+        floor = chain[-1] if chain else None
+        for alpha in below:
+            if floor is not None and alpha <= floor:
+                continue
+            if all(
+                coloring.color(y + (alpha,)) == coloring.color(y + (top,))
+                for y in combinations(chain, n - 1)
+            ):
+                viable.append(alpha)
+        if not viable:
+            found = brute_homogeneous(reduced, m, points=chain)
+            if isinstance(found, HomogeneousSet):
+                if verify_homogeneous([coloring], found.members, top) is not None:
+                    raise AssertionError("extracted set failed verification")
+                return HomogeneousSet(members=found.members, top=top, colors=found.colors)
+            if len(chain) >= len(state["deepest"]):
+                state["deepest"] = tuple(chain)
+                state["top"] = top
+                state["constraints"] = tuple(
+                    (y, coloring.color(y + (top,))) for y in combinations(chain, n - 1)
+                )
+            return None
+        for alpha in viable:
+            result = grow(top, below, chain + [alpha], reduced)
+            if result is not None:
+                return result
+        return None
+
+    truncated = False
+    for top in reversed(pts):
+        below = [p for p in pts if p < top]
+        if len(below) < m:
+            continue
+        reduced = TupleColoring(
+            n - 1, coloring.colors, coloring.universe, lambda y, t=top: coloring.color(y + (t,))
+        )
+        try:
+            result = grow(top, below, [], reduced)
+        except Exceeded:
+            truncated = True
+            break
+        if result is not None:
+            return result
+    return NoHomogeneousSet(
+        reason="budget exceeded" if truncated else "every top candidate exhausted",
+        exhaustive=not truncated,
+        nodes=state["nodes"],
+        top=state["top"],
+        deepest=state["deepest"],
+        constraints=state["constraints"],
+    )
+
+
+class RecordingColoring(TupleColoring):
+    """A table coloring that counts color calls and records evaluated tuples."""
+
+    def __init__(self, arity, colors, universe, table):
+        super().__init__(arity, colors, universe, self._lookup)
+        self.table = table
+        self.calls = 0
+        self.evaluated = set()
+
+    def _lookup(self, tup):
+        self.evaluated.add(tup)
+        return self.table[tup]
+
+    def color(self, tup):
+        self.calls += 1
+        return super().color(tup)
+
+
+def test_incremental_end_agreement_matches_full_recheck():
+    rng = random.Random(20261018)
+    outcomes = {"found": 0, "exhausted": 0, "budget": 0}
+    for run in range(240):
+        arity = 2 + run % 3
+        universe = rng.randint(arity + 3, 12 if arity == 4 else 14)
+        colors = rng.choice((2, 2, 3))
+        bias = rng.choice((0.5, 0.75, 0.9))
+        table = {
+            tup: 0 if rng.random() < bias else rng.randrange(1, colors)
+            for tup in combinations(range(universe), arity)
+        }
+        m = rng.randint(arity, min(universe - 1, arity + 4))
+        points = None if run % 2 else sorted(rng.sample(range(universe), universe - 2))
+        budget = (None, 5, 50, 500)[(run // 3) % 4]
+        ours = RecordingColoring(arity, colors, universe, table)
+        ref = RecordingColoring(arity, colors, universe, table)
+        outcome = greedy_end_homogeneous(ours, m, points=points, budget=budget)
+        expected = reference_greedy_end_homogeneous(ref, m, points=points, budget=budget)
+        assert outcome == expected, (run, arity, universe, m, budget)
+        assert ours.evaluated <= ref.evaluated
+        assert ours.calls <= ref.calls
+        if isinstance(outcome, HomogeneousSet):
+            outcomes["found"] += 1
+        else:
+            outcomes["exhausted" if outcome.exhaustive else "budget"] += 1
+    # The sample reaches every kind of outcome.
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_incremental_end_agreement_colors_fewer_tuples():
+    table = {tup: 0 for tup in combinations(range(20), 4)}
+    ours = RecordingColoring(4, 2, 20, table)
+    ref = RecordingColoring(4, 2, 20, table)
+    outcome = greedy_end_homogeneous(ours, 6)
+    assert outcome == reference_greedy_end_homogeneous(ref, 6)
+    assert outcome.members == (0, 1, 2, 3, 4, 5) and outcome.top == 19
+    assert ours.evaluated <= ref.evaluated
+    assert ours.calls < ref.calls

@@ -11,6 +11,8 @@ M = 14.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
 from itertools import combinations, product
 
 import pytest
@@ -23,6 +25,7 @@ from sumsetlab.search import (
     NatColoring,
     ThresholdRecord,
     _ScanCheckpoint,
+    _parallel_results,
     _task_prefixes,
     find_bad_coloring,
     has_mono_sumset,
@@ -297,6 +300,24 @@ def test_threshold_scan_worker_count_is_invisible():
         pooled = threshold_scan(k, r, M_max, workers=2)
         assert pooled == sequential
         assert [rec.witness for rec in pooled] == [rec.witness for rec in sequential]
+
+
+def test_parallel_results_stop_kills_the_running_tasks():
+    quick = (2, 2, 4, None, None, (0,))
+    # tens of seconds of search, unless stopping the schedule kills it
+    slow = (3, 3, 200, 400_000, None, (0,))
+    results = _parallel_results([quick, slow], workers=2)
+    start = time.monotonic()
+    assert next(results) == find_bad_coloring(2, 2, 4, forced_prefix=(0,))
+    results.close()
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_results_raise_a_task_error():
+    with pytest.raises(ValueError):
+        list(_parallel_results([(2, 2, 4, None, None, (0,)), (0, 2, 4, None, None, (0,))], 2))
+    assert multiprocessing.active_children() == []
 
 
 def test_threshold_scan_budget_gives_undecided():
