@@ -212,7 +212,7 @@ def cmd_deltasys(args) -> int:
             }
             _emit(payload, args.out)
     cl3 = check_cl3(assignment)
-    cl4 = check_cl4(assignment)
+    cl4 = check_cl4(assignment, cl3)
     print(f"assignment {origin}: |E|={len(assignment.E)}, d={assignment.d}")
     print(cl3.describe())
     print(cl4.describe())

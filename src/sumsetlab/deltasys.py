@@ -10,14 +10,14 @@ make such an assignment coherent:
        on W(u1) to the order isomorphism of W(u1) onto W(u1'); moreover
        the order isomorphism of W(u) onto W(v) carries u to v.
 
-check_cl4 treats CL3 together with type uniformity (|u| = |v| implies
-|W(u)| = |W(v)|) as preconditions and reports their failures separately
-from genuine restriction-law violations.  Under them CL4 is a statement
-about ranks, which is how check_cl4 decides it: CL3 puts W(u1) inside
-W(u2) whenever u1 is inside u2, so the restriction law for
-(u1, u2, u1', u2') holds exactly when W(u1) takes the same ranks inside
-W(u2) as W(u1') takes inside W(u2'), and h(u) = v holds exactly when u
-takes the same ranks in W(u) as v takes in W(v).
+check_cl4 takes the caller's CL3 report and treats CL3 together with type
+uniformity (|u| = |v| implies |W(u)| = |W(v)|) as preconditions, reporting
+their failures separately from genuine restriction-law violations.  Under
+them CL4 is a statement about ranks, which is how check_cl4 decides it:
+CL3 puts W(u1) inside W(u2) whenever u1 is inside u2, so the restriction
+law for (u1, u2, u1', u2') holds exactly when W(u1) takes the same ranks
+inside W(u2) as W(u1') takes inside W(u2'), and h(u) = v holds exactly
+when u takes the same ranks in W(u) as v takes in W(v).
 
 generate_canonical builds coherent instances: W(u) is u plus one block of
 fresh points per subset w of u, where blocks are consecutive integer runs
@@ -206,9 +206,10 @@ def _ranks(inner: Sequence[int], outer: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[x] for x in inner)
 
 
-def check_cl4(assignment: SupportAssignment) -> CheckReport:
+def check_cl4(assignment: SupportAssignment, cl3: CheckReport) -> CheckReport:
     """Restriction law plus h(u) = v, with CL3 and type uniformity as
-    separately reported preconditions.
+    separately reported preconditions.  cl3 is the caller's
+    check_cl3(assignment) report; it is not re-computed here.
 
     Once they hold, both clauses reduce to comparing rank tuples.  For
     u1 inside u2, CL3 gives W(u1) = W(u1) & W(u2), so W(u1) lies inside
@@ -222,7 +223,6 @@ def check_cl4(assignment: SupportAssignment) -> CheckReport:
     check each, and OrderIso objects are built only to describe a failure.
     """
     preconditions = []
-    cl3 = check_cl3(assignment)
     if not cl3.clean:
         preconditions.append(f"CL3 fails first: {len(cl3.violations)} violations")
     sizes_by_type: dict[int, dict[int, list]] = {}

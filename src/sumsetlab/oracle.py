@@ -190,12 +190,6 @@ def read_table_file(path: str) -> dict[str, int]:
     return table
 
 
-def write_table_file(path: str, table: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for key in sorted(table):
-            handle.write(f"{key}\t{table[key]}\n")
-
-
 def make_oracle(descriptor: str, r: int) -> ColoringOracle:
     """Build an oracle from a CLI descriptor, 'kind' or 'kind:param[,param]'."""
     kind, sep, rest = descriptor.partition(":")

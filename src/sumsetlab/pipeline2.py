@@ -125,7 +125,6 @@ def derived_tuple_colorings(oracle: ColoringOracle, universe: int) -> list[Tuple
             colors=oracle.r,
             universe=universe,
             evaluate=lambda tup, l=l: derived(oracle, l, tup),
-            name=f"d_{l}",
         )
         for l in range(oracle.r + 1)
     ]

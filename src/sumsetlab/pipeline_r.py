@@ -137,56 +137,41 @@ def select_positions(sys: FamilySystem, positions: Sequence[int], rho=None) -> F
 def iter_canonical_tuples(
     families: Sequence[IndexFamily],
     l: int,
-    pools: Sequence[Sequence[Position]] | None = None,
+    pools: Sequence[Sequence[int]] | None = None,
     index_strict: bool = False,
     containing_top_of: int | None = None,
 ) -> Iterator[CanonicalTuple]:
     """Enumerate l-canonical tuples drawing positions from per-family pools.
 
-    Pools default to every member position plus TOP.  With index_strict the
-    index vector must be strictly increasing in the finite-strict sense;
-    with containing_top_of=j only tuples using the top of family j appear.
-    The enumeration order is deterministic: index vectors ascend
-    lexicographically with TOP last, then primed vectors likewise.
+    A pool is an ascending list of its family's member positions; the
+    family's top is always available besides them.  Pools default to every
+    member position.  With index_strict the index vector must be strictly
+    increasing in the finite-strict sense; with containing_top_of=j only
+    tuples using the top of family j appear.  The enumeration order is
+    deterministic: index vectors ascend lexicographically with TOP last,
+    then primed vectors likewise.
     """
     r = len(families)
     if not 0 <= l <= r:
         raise ValueError(f"level {l} out of range for {r} families")
     if pools is None:
-        pools = [list(range(f.size)) + [TOP] for f in families]
-    finite_pool = [sorted(p for p in pool if not is_top(p)) for pool in pools]
-    has_top = [any(is_top(p) for p in pool) for pool in pools]
-
+        pools = [range(f.size) for f in families]
     unprimed_choices: list[list[Position]] = []
     for k in range(r):
         if k < l:
-            choices: list[Position] = list(finite_pool[k])
+            unprimed_choices.append(list(pools[k]))
+        elif containing_top_of == k:
+            unprimed_choices.append([TOP])
         else:
-            choices = list(finite_pool[k]) + ([TOP] if has_top[k] else [])
-        if containing_top_of == k and k >= l:
-            choices = [TOP] if has_top[k] else []
-        unprimed_choices.append(choices)
-
+            unprimed_choices.append([*pools[k], TOP])
     for index in product(*unprimed_choices):
         if index_strict and not is_index_strictly_increasing(index):
             continue
-        finite_values = [p for p in index if not is_top(p)]
-        bound = max(finite_values) if finite_values else None
-        primed_choices: list[list[Position]] = []
-        feasible = True
-        for k in range(l):
-            if containing_top_of == k:
-                options: list[Position] = [TOP] if has_top[k] else []
-            else:
-                options = [p for p in finite_pool[k] if bound is None or p > bound]
-                if has_top[k]:
-                    options.append(TOP)
-            if not options:
-                feasible = False
-                break
-            primed_choices.append(options)
-        if not feasible:
-            continue
+        bound = max((p for p in index if not is_top(p)), default=-1)
+        primed_choices = [
+            [TOP] if containing_top_of == k else [*(p for p in pools[k] if p > bound), TOP]
+            for k in range(l)
+        ]
         for primed in product(*primed_choices):
             yield canonical_tuple(families, l, index, primed)
 
@@ -259,12 +244,13 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
     return HomogeneityReport(levels=tuple(reports))
 
 
-def saturated(sys: FamilySystem, t: CanonicalTuple) -> CanonicalTuple:
-    """Replace the primed and single entries by their family tops, keeping
-    the unprimed entries of the paired blocks."""
-    index = tuple(t.index[:t.l]) + (TOP,) * (sys.r - t.l)
-    primed = (TOP,) * t.l
-    return canonical_tuple(sys.families, t.l, index, primed)
+def saturated(sys: FamilySystem, l: int, positions: Sequence[int]) -> CanonicalTuple:
+    """The level-l tuple that pairs member positions[k] with the top of
+    family k for k < l and sits at the top of every later family.  It is
+    the only builder of saturated tuples: the saturation law compares a
+    tuple with saturated(sys, l, t.index[:l]), and last_step colors
+    position vectors through it."""
+    return canonical_tuple(sys.families, l, (*positions, *(TOP,) * (sys.r - l)), (TOP,) * l)
 
 
 def verify_saturation(oracle: ColoringOracle, sys: FamilySystem):
@@ -281,7 +267,7 @@ def verify_saturation(oracle: ColoringOracle, sys: FamilySystem):
         for t in iter_canonical_tuples(sys.families, l, index_strict=True):
             key = (l, t.index[:l])
             if key not in saturated_forms:
-                sat = saturated(sys, t)
+                sat = saturated(sys, l, t.index[:l])
                 saturated_forms[key] = (sat, derived(oracle, l, sat.entries))
             sat, c_sat = saturated_forms[key]
             c_t = c_sat if t == sat else derived(oracle, l, t.entries)
@@ -300,24 +286,21 @@ def replacement_search(
     oracle: ColoringOracle,
     sys: FamilySystem,
     j: int,
-    pools: Sequence[Sequence[Position]],
+    pools: Sequence[Sequence[int]],
     lower: int,
 ) -> int | ReplacementFailure:
     """Least member position of family j that can stand in for its top.
 
-    Candidates are positions strictly above both lower and every finite
-    position in the family's own pool.  A candidate is accepted when, for
-    every level l and every l-canonical tuple drawn from the pools that
-    contains family j's top, trading the top for the candidate leaves the
-    tuple's color unchanged.
+    pools are iter_canonical_tuples pools: ascending member positions, with
+    every family's top available besides them.  Candidates are positions
+    strictly above both lower and every position in the family's own pool.
+    A candidate is accepted when, for every level l and every l-canonical
+    tuple drawn from the pools that contains family j's top, trading the
+    top for the candidate leaves the tuple's color unchanged.
     """
     if not 0 <= j < sys.r:
         raise ValueError(f"family index {j} out of range")
-    for k, pool in enumerate(pools):
-        if not any(is_top(p) for p in pool):
-            raise ValueError(f"pool {k} must contain its family's top")
-    finite_j = [p for p in pools[j] if not is_top(p)]
-    floor = max([lower] + finite_j)
+    floor = max([lower, *pools[j]])
     constraints = [
         t
         for l in range(sys.r + 1)
@@ -357,12 +340,13 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
 
     Round k visits families 0..r-1 in order; each pick must exceed every
     position chosen so far in any family, so the per-family position
-    sequences interleave globally.  The resulting system is exhaustively
-    re-verified against the saturation law before being returned.
+    sequences interleave globally and each pool stays ascending.  The
+    resulting system is exhaustively re-verified against the saturation law
+    before being returned.
     """
     if target < 1 or target > sys.member_count:
         raise ValueError(f"cannot shrink to {target} members from {sys.member_count}")
-    pools: list[list[Position]] = [[TOP] for _ in range(sys.r)]
+    pools: list[list[int]] = [[] for _ in range(sys.r)]
     lower = -1
     for round_number in range(target):
         for family in range(sys.r):
@@ -374,18 +358,11 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
                     round=round_number,
                     family=family,
                 )
-            finite = [p for p in pools[family] if not is_top(p)]
-            pools[family] = sorted(finite + [picked]) + [TOP]
+            pools[family].append(picked)
             lower = picked
-    positions_by_family = [
-        [p for p in pool if not is_top(p)] for pool in pools
-    ]
     families = tuple(
-        IndexFamily(
-            members=tuple(f.members[p] for p in sorted(positions)),
-            top=f.top,
-        )
-        for f, positions in zip(sys.families, positions_by_family)
+        IndexFamily(members=tuple(f.members[p] for p in pool), top=f.top)
+        for f, pool in zip(sys.families, pools)
     )
     shrunk = FamilySystem(families=families)
     violation = verify_saturation(oracle, shrunk)
@@ -410,21 +387,14 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
     """
     if final_size < 1 or final_size > sys.member_count:
         raise ValueError(f"final size {final_size} out of range")
-    r = sys.r
     positions = list(range(sys.member_count))
     rho: list[int] = []
-    for l in range(r + 1):
-        def saturated_color(index_vector: tuple[int, ...], l=l) -> int:
-            entries = []
-            for k, family in enumerate(sys.families):
-                if k < l:
-                    entries.extend((family.members[index_vector[k]], family.top))
-                else:
-                    entries.append(family.top)
-            return derived(oracle, l, entries)
-
+    for l in range(sys.r + 1):
         g = TupleColoring(
-            arity=l, colors=oracle.r, universe=sys.member_count, evaluate=saturated_color
+            arity=l,
+            colors=oracle.r,
+            universe=sys.member_count,
+            evaluate=lambda v, l=l: derived(oracle, l, saturated(sys, l, v).entries),
         )
         seen = {g.color(t) for t in combinations(positions, l)}
         if len(seen) == 1:

@@ -89,9 +89,6 @@ class QVec:
     def values_in_order(self) -> tuple[Fraction, ...]:
         return tuple(value for _, value in self._items)
 
-    def is_zero(self) -> bool:
-        return not self._items
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -34,14 +34,13 @@ TRUNCATED_BUDGET = 200_000
 class TupleColoring:
     """Total coloring of strictly increasing tuples from range(universe)."""
 
-    def __init__(self, arity: int, colors: int, universe: int, evaluate: Callable, name: str = ""):
+    def __init__(self, arity: int, colors: int, universe: int, evaluate: Callable):
         if arity < 0 or colors < 1 or universe < 0:
             raise ValueError("arity must be >= 0, colors >= 1, universe >= 0")
         self.arity = arity
         self.colors = colors
         self.universe = universe
         self.evaluate = evaluate
-        self.name = name
         self._memo: dict[tuple[int, ...], int] = {}
 
     def color(self, tup: Sequence[int]) -> int:

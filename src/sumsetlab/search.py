@@ -75,11 +75,6 @@ class NatColoring:
     def M(self) -> int:
         return len(self.colors)
 
-    def color_of(self, i: int) -> int:
-        if not 1 <= i <= self.M:
-            raise ValueError(f"{i} outside the colored universe 1..{self.M}")
-        return self.colors[i - 1]
-
     def serialize(self) -> str:
         return "".join(f"{i}:{c}\n" for i, c in enumerate(self.colors, start=1))
 
@@ -392,14 +387,6 @@ def _parallel_results(tasks: list[tuple], workers: int):
             reader.close()
 
 
-def _verify_escapable(record_witness: NatColoring, k: int, x_max: int | None) -> None:
-    leftover = has_mono_sumset(record_witness, k, x_max=x_max)
-    if leftover is not None:
-        raise RuntimeError(
-            f"stored bad coloring admits the monochromatic sumset X={leftover}"
-        )
-
-
 def _scan_one(
     k: int,
     r: int,
@@ -428,7 +415,6 @@ def _scan_one(
                 break
             all_exhausted = all_exhausted and result.exhausted
     if witness is not None:
-        _verify_escapable(witness, k, x_max)
         return ThresholdRecord(k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes)
     if all_exhausted:
         return ThresholdRecord(k=k, r=r, M=M, verdict=FORCED, witness=None, nodes=nodes)
@@ -447,9 +433,10 @@ def threshold_scan(
 ) -> list[ThresholdRecord]:
     """Classify every M <= M_max as FORCED, ESCAPABLE, or UNDECIDED.
 
-    Witnesses re-verify by a fresh exhaustive scan before being recorded,
-    and a FORCED verdict followed by an ESCAPABLE one at larger M aborts
-    the run.  With a checkpoint path (single worker only) the scan persists
+    Every fresh witness has passed find_bad_coloring's exhaustive leaf
+    re-check, and every witness read back from a checkpoint is re-checked
+    the same way on load.  A FORCED verdict followed by an ESCAPABLE one at
+    larger M aborts the run.  With a checkpoint path (single worker only) the scan persists
     completed records plus the in-flight DFS prefix and resumes from them.
     """
     if workers < 1:
@@ -504,13 +491,23 @@ class _ScanCheckpoint:
             self.state = loaded
 
     def completed_records(self) -> list[ThresholdRecord]:
+        """The stored records; a stored witness must color exactly 1..M and
+        admit no monochromatic X + X, or ValueError is raised."""
         records = []
         for row in self.state["records"]:
-            witness = (
-                NatColoring(r=self.config["r"], colors=tuple(row["witness"]))
-                if row["witness"] is not None
-                else None
-            )
+            witness = None
+            if row["witness"] is not None:
+                M = row["M"]
+                witness = NatColoring(r=self.config["r"], colors=tuple(row["witness"]))
+                if witness.M != M:
+                    raise ValueError(
+                        f"checkpoint {self.path}: the M={M} witness colors {witness.M} positions"
+                    )
+                X = has_mono_sumset(witness, self.config["k"], x_max=self.config["x_max"])
+                if X is not None:
+                    raise ValueError(
+                        f"checkpoint {self.path}: the M={M} witness makes X={X} monochromatic"
+                    )
             records.append(
                 ThresholdRecord(
                     k=self.config["k"],

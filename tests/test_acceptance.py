@@ -312,7 +312,8 @@ def test_criterion_7_support_checkers():
         if d >= 2 and size >= 2:
             pad[2] = (i + 1) % 2
         assignment = generate_canonical(E, d, pad)
-        for report in (check_cl3(assignment), check_cl4(assignment)):
+        cl3 = check_cl3(assignment)
+        for report in (cl3, check_cl4(assignment, cl3)):
             assert not report.violations and not report.precondition_failures, (i, report.describe())
         # the empty set's kernel sits inside every support; removing one of
         # its points from a single nonempty support must break the meet law
@@ -322,7 +323,8 @@ def test_criterion_7_support_checkers():
         mutated = assignment.with_support(
             target, tuple(p for p in assignment.support_of(target) if p != victim)
         )
-        m3, m4 = check_cl3(mutated), check_cl4(mutated)
+        m3 = check_cl3(mutated)
+        m4 = check_cl4(mutated, m3)
         assert m3.violations or m4.violations or m4.precondition_failures, (i, E, d, pad)
         caught += 1
     announce(7, 60.0, time.monotonic() - t0, f"100 generated coherent, {caught}/100 mutations caught")

@@ -115,6 +115,11 @@ def small_instance():
     return generate_canonical((0, 2, 5, 6), 2, {1: 1, 2: 2})
 
 
+def clean_under_both_laws(assignment):
+    cl3 = check_cl3(assignment)
+    return cl3.clean and check_cl4(assignment, cl3).clean
+
+
 def test_generated_instance_layout():
     g = small_instance()
     assert g.domain()[:5] == [(), (0,), (2,), (5,), (6,)]
@@ -176,7 +181,7 @@ def test_with_support_replaces_one_entry():
 def test_generated_instance_passes_both_laws():
     g = small_instance()
     cl3 = check_cl3(g)
-    cl4 = check_cl4(g)
+    cl4 = check_cl4(g, cl3)
     assert cl3.clean and cl4.clean
     assert cl3.checks == 66  # 11 domain sets, unordered pairs with repeats
     assert cl4.checks == 230
@@ -191,14 +196,14 @@ def test_zero_padding_gives_identity_supports():
         (1,): (1,),
         (3,): (3,),
     }
-    assert check_cl3(g).clean and check_cl4(g).clean
+    assert clean_under_both_laws(g)
 
 
 def test_degenerate_domains_are_vacuously_clean():
     just_empty = generate_canonical((4, 9), 0, {0: 2})
-    assert check_cl3(just_empty).clean and check_cl4(just_empty).clean
+    assert clean_under_both_laws(just_empty)
     singleton = generate_canonical((5,), 1, {0: 1, 1: 2})
-    assert check_cl3(singleton).clean and check_cl4(singleton).clean
+    assert clean_under_both_laws(singleton)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,8 +217,7 @@ def test_degenerate_domains_are_vacuously_clean():
 )
 def test_generated_instances_always_coherent(E, d, pad):
     g = generate_canonical(tuple(sorted(E)), d, pad)
-    assert check_cl3(g).clean
-    assert check_cl4(g).clean
+    assert clean_under_both_laws(g)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +231,9 @@ def test_constant_assignment_passes_cl3_but_fails_cl4():
     E = (1, 2, 3)
     table = {u: E for u in SupportAssignment.domain_subsets(E, 1)}
     const = SupportAssignment(E=E, d=1, W=table)
-    assert check_cl3(const).clean
-    report = check_cl4(const)
+    cl3 = check_cl3(const)
+    assert cl3.clean
+    report = check_cl4(const, cl3)
     assert not report.clean
     assert report.precondition_failures == ()
     assert len(report.violations) == 6  # ordered pairs of distinct singletons
@@ -241,8 +246,9 @@ def test_rank_shift_mutation_caught_only_by_cl4():
     # Swap the fresh point 4 for 0: sizes and intersections are unchanged,
     # but the rank of the element 1 inside its own support shifts.
     mutated = g.with_support((1,), (0, 1, 3))
-    assert check_cl3(mutated).clean
-    report = check_cl4(mutated)
+    cl3 = check_cl3(mutated)
+    assert cl3.clean
+    report = check_cl4(mutated, cl3)
     assert not report.clean and report.precondition_failures == ()
     assert len(report.violations) == 4
     assert any("sends (1,) to (3,), not (2,)" in v for v in report.violations)
@@ -252,8 +258,9 @@ def test_rank_shift_mutation_caught_only_by_cl4():
 def test_type_uniformity_reported_as_precondition():
     g = generate_canonical((1, 2), 1, {0: 1, 1: 1})
     bigger = g.with_support((1,), g.support_of((1,)) + (99,))
-    assert check_cl3(bigger).clean
-    report = check_cl4(bigger)
+    cl3 = check_cl3(bigger)
+    assert cl3.clean
+    report = check_cl4(bigger, cl3)
     assert report.violations == ()
     assert report.checks == 0
     assert len(report.precondition_failures) == 1
@@ -266,7 +273,7 @@ def test_cl3_failure_reported_as_cl4_precondition():
     cl3 = check_cl3(damaged)
     assert not cl3.clean
     assert cl3.violations  # names the offending pair
-    report = check_cl4(damaged)
+    report = check_cl4(damaged, cl3)
     assert report.checks == 0
     assert any("CL3 fails first" in p for p in report.precondition_failures)
 
@@ -289,10 +296,7 @@ def test_every_fresh_point_removal_is_caught():
                 continue
             mutated = g.with_support(u, tuple(q for q in support if q != point))
             mutations += 1
-            assert not (check_cl3(mutated).clean and check_cl4(mutated).clean), (
-                u,
-                point,
-            )
+            assert not clean_under_both_laws(mutated), (u, point)
     assert mutations > 20
 
 
@@ -388,7 +392,7 @@ def random_instance(rng):
 
 
 def assert_same_cl4(assignment):
-    ours, ref = check_cl4(assignment), reference_check_cl4(assignment)
+    ours, ref = check_cl4(assignment, check_cl3(assignment)), reference_check_cl4(assignment)
     assert ours.violations == ref.violations
     assert ours.precondition_failures == ref.precondition_failures
     assert ours.checks == ref.checks

@@ -151,25 +151,37 @@ def test_iter_counts_hand_checked():
 
 
 def test_iter_matches_independent_filter():
-    """The iterator must agree with 'try everything, keep what validates'."""
+    """The iterator must agree with 'try everything, keep what validates',
+    in ascending (index, primed) order, on default and explicit pools, with
+    and without a required top."""
 
-    def brute(families, l):
-        pool = [list(range(f.size)) + [TOP] for f in families]
-        out = set()
+    def brute(families, l, pools, containing_top_of):
+        pool = [list(p) + [TOP] for p in pools]
+        out = []
         for index in product(*pool):
             for primed in product(*pool[:l]):
                 try:
                     t = canonical_tuple(families, l, index, primed)
                 except ValueError:
                     continue
-                if is_l_canonical(t, families, l)[0]:
-                    out.add(t)
-        return out
+                if not is_l_canonical(t, families, l)[0]:
+                    continue
+                if containing_top_of is None or families[containing_top_of].top in t.entries:
+                    out.append(t)
+        return sorted(out, key=lambda t: (t.index, t.primed))
 
     for r, m in [(1, 3), (2, 3), (3, 2)]:
         fams = layout_families(r, m).families
+        default = [range(m)] * r
         for l in range(r + 1):
-            assert set(iter_canonical_tuples(fams, l)) == brute(fams, l)
+            assert list(iter_canonical_tuples(fams, l)) == brute(fams, l, default, None)
+    fams = layout_families(3, 4).families
+    for pools in ([[0, 2], [1, 3], [2]], [[], [0], [1, 2, 3]], [[1], [], []]):
+        for l in range(4):
+            for top_of in (None, 0, 1, 2):
+                expected = brute(fams, l, pools, top_of)
+                got = iter_canonical_tuples(fams, l, pools=pools, containing_top_of=top_of)
+                assert list(got) == expected, (pools, l, top_of)
 
 
 def test_iter_yields_only_canonical_tuples():
@@ -183,7 +195,7 @@ def test_iter_yields_only_canonical_tuples():
 
 def test_iter_respects_pools():
     fams = layout_families(2, 4).families
-    pools = [[0, 2, TOP], [1, TOP]]
+    pools = [[0, 2], [1]]
     for t in iter_canonical_tuples(fams, 1, pools=pools):
         for k, position in enumerate(t.index):
             assert position in pools[k] or is_top(position)
@@ -300,11 +312,13 @@ def test_check_levels_rejects_r_mismatch():
 
 def test_saturated_replaces_all_but_paired_unprimed():
     sys0 = layout_families(2, 3)
-    t = canonical_tuple(sys0.families, 1, (0, 1), (2,))
-    sat = saturated(sys0, t)
+    sat = saturated(sys0, 1, (0,))
     assert sat.index == (0, TOP)
     assert sat.primed == (TOP,)
     assert sat.l == 1
+    assert sat.entries == (1, 4, 9)
+    assert saturated(sys0, 0, ()).entries == (4, 9)
+    assert saturated(sys0, 2, (0, 1)).entries == (1, 4, 7, 9)
 
 
 def test_verify_saturation_clean_for_index_only_oracle():
@@ -322,7 +336,7 @@ def test_verify_saturation_reports_first_violation():
     assert level == 1
     assert (t.index, t.primed) == ((0, 1), (2,))
     assert (c_t, c_sat) == (0, 1)
-    assert sat == saturated(sys0, t)
+    assert sat == saturated(sys0, 1, t.index[:1])
     assert derived(oracle, t.l, t.entries) == c_t
     assert derived(oracle, sat.l, sat.entries) == c_sat
 
@@ -334,8 +348,8 @@ def test_verify_saturation_reports_first_violation():
 def test_replacement_constant_oracle_takes_least_candidate():
     sys0 = layout_families(2, 6)
     oracle = make_oracle("constant:1", 2)
-    assert replacement_search(oracle, sys0, 0, [[TOP], [TOP]], -1) == 0
-    assert replacement_search(oracle, sys0, 0, [[TOP], [TOP]], 2) == 3
+    assert replacement_search(oracle, sys0, 0, [[], []], -1) == 0
+    assert replacement_search(oracle, sys0, 0, [[], []], 2) == 3
 
 
 def test_replacement_order_invariant_accepts_first_above_floor():
@@ -344,14 +358,14 @@ def test_replacement_order_invariant_accepts_first_above_floor():
     # order-invariant oracle accepts the least available candidate.
     sys0 = layout_families(2, 6)
     oracle = make_oracle("order-invariant-wrapper:seeded-hash:7", 2)
-    assert replacement_search(oracle, sys0, 0, [[0, TOP], [TOP]], 2) == 3
-    assert replacement_search(oracle, sys0, 1, [[0, TOP], [1, TOP]], 1) == 2
+    assert replacement_search(oracle, sys0, 0, [[0], []], 2) == 3
+    assert replacement_search(oracle, sys0, 1, [[0], [1]], 1) == 2
 
 
 def test_replacement_failure_reports_candidates_tried():
     sys0 = layout_families(2, 4)
     oracle = PrimedTopOracle(2, sys0)
-    outcome = replacement_search(oracle, sys0, 0, [[0, TOP], [TOP]], 0)
+    outcome = replacement_search(oracle, sys0, 0, [[0], []], 0)
     assert isinstance(outcome, ReplacementFailure)
     assert outcome.candidates_tried == 3
     assert "family 0" in outcome.reason
@@ -361,9 +375,7 @@ def test_replacement_validates_inputs():
     sys0 = layout_families(2, 4)
     oracle = make_oracle("constant:0", 2)
     with pytest.raises(ValueError):
-        replacement_search(oracle, sys0, 2, [[TOP], [TOP]], -1)
-    with pytest.raises(ValueError):
-        replacement_search(oracle, sys0, 0, [[TOP], [0]], -1)  # pool 1 lacks top
+        replacement_search(oracle, sys0, 2, [[], []], -1)
 
 
 def test_shrink_interleaves_round_robin_picks():

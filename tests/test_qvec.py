@@ -44,7 +44,7 @@ def test_scale_by_one_is_identity():
 
 
 def test_scale_by_zero_gives_empty_support():
-    assert QVec({3: 7}).scale(0).is_zero()
+    assert QVec({3: 7}).scale(0).support == ()
     assert QVec({3: 7}).scale(0) == QVec()
 
 
@@ -100,7 +100,7 @@ def test_scale_distributes_over_add(c, u, v):
 
 def test_zero_values_are_dropped_at_construction():
     assert QVec({4: 0, 7: 1}).support == (7,)
-    assert QVec({4: Fraction(0, 5)}).is_zero()
+    assert len(QVec({4: Fraction(0, 5)})) == 0
 
 
 def test_values_stored_in_lowest_terms():

@@ -17,6 +17,7 @@ from itertools import combinations, product
 
 import pytest
 
+import sumsetlab.search
 from sumsetlab.search import (
     ESCAPABLE,
     FORCED,
@@ -59,11 +60,7 @@ def in_first_use_order(colors):
 def test_nat_coloring_basics():
     c = NatColoring(r=2, colors=(0, 1, 1))
     assert c.M == 3
-    assert [c.color_of(i) for i in (1, 2, 3)] == [0, 1, 1]
-    with pytest.raises(ValueError):
-        c.color_of(0)
-    with pytest.raises(ValueError):
-        c.color_of(4)
+    assert c.colors == (0, 1, 1)
 
 
 def test_nat_coloring_validation():
@@ -294,6 +291,23 @@ def test_threshold_scan_singletons():
     assert [rec.witness.colors for rec in records] == [(0,), (0, 0), (0, 0, 0)]
 
 
+def test_threshold_scan_checks_each_witness_once(monkeypatch):
+    # The leaf re-check inside find_bad_coloring is the only scan a fresh
+    # witness gets: one has_mono_sumset call per ESCAPABLE row.
+    calls = []
+    real = sumsetlab.search.has_mono_sumset
+
+    def counting(coloring, k, x_max=None):
+        calls.append(coloring.colors)
+        return real(coloring, k, x_max=x_max)
+
+    monkeypatch.setattr(sumsetlab.search, "has_mono_sumset", counting)
+    records = threshold_scan(2, 2, 10)
+    witnesses = [rec.witness.colors for rec in records if rec.verdict == ESCAPABLE]
+    assert len(witnesses) == 10
+    assert calls == witnesses
+
+
 def test_threshold_scan_worker_count_is_invisible():
     for k, r, M_max in ((2, 2, LEAST_FORCED_M), (2, 3, 20)):
         sequential = threshold_scan(k, r, M_max)
@@ -382,6 +396,21 @@ def test_checkpoint_rejects_other_task_list(tmp_path):
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError, match="into tasks"):
         threshold_scan(2, 3, 8, checkpoint_path=path)
+
+
+def test_checkpoint_rejects_a_bad_stored_witness(tmp_path):
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 6, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    assert state["records"][5]["M"] == 6
+    state["records"][5]["witness"] = [0] * 6  # X = (1, 2) is monochromatic
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match=r"M=6 witness makes X=\(1, 2\) monochromatic"):
+        threshold_scan(2, 2, 8, checkpoint_path=path)
+    state["records"][5]["witness"] = [0, 0, 0, 1, 0]
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="M=6 witness colors 5 positions"):
+        threshold_scan(2, 2, 8, checkpoint_path=path)
 
 
 def test_checkpoint_crash_resume(tmp_path, monkeypatch):
