@@ -114,16 +114,6 @@ def system_from_universe(r: int, n: int) -> FamilySystem:
     return layout_families(r, member_count=block - 2, block=block)
 
 
-def trim_members(sys: FamilySystem, m: int, rho: tuple[int, ...] | None = None) -> FamilySystem:
-    """Keep the first m members of every family; tops are untouched."""
-    if m > sys.member_count:
-        raise ValueError(f"cannot trim to {m} members, only {sys.member_count} present")
-    families = tuple(
-        IndexFamily(members=f.members[:m], top=f.top) for f in sys.families
-    )
-    return FamilySystem(families=families, rho=rho)
-
-
 def select_positions(sys: FamilySystem, positions: Sequence[int], rho=None) -> FamilySystem:
     """Restrict every family to the given member positions (same for all)."""
     chosen = sorted(positions)
@@ -544,7 +534,7 @@ def construct_r(
         )
     report = check_levels(oracle, sys0)
     if report.all_constant:
-        ready = trim_members(sys0, m, rho=report.colors)
+        ready = select_positions(sys0, range(m), rho=report.colors)
     else:
         target = shrink_size if shrink_size is not None else sys0.member_count // r
         if target < m:

@@ -11,9 +11,11 @@ procedure is a complete decision method for "some m members plus a top are
 fully constant".  Agreement is checked incrementally: the candidates passed
 down to a chain already agree with t on every tuple y that avoids the
 newest chain point, so only the y through that point are colored.
-multi_homogeneous chains searches for several colorings by iterated
-restriction and falls back to a direct simultaneous scan so that its
-NotFound is exhaustive too.
+multi_homogeneous runs the end-agreement search on the first coloring,
+tests every other coloring for constancy on the m + 1 points it found, and
+otherwise falls back to the same lexicographic scan as brute_homogeneous,
+over (m + 1)-subsets and every coloring at once, so that its NotFound is
+exhaustive too.
 
 Every returned set is re-checked by verify_homogeneous, a deliberately
 plain enumerator that shares no logic with the searches.
@@ -83,10 +85,6 @@ class NoHomogeneousSet:
     exhaustive: bool
     nodes: int
     level: int | None = None
-    top: int | None = None
-    deepest: tuple[int, ...] | None = None
-    constraints: tuple | None = None
-    candidates: int | None = None
 
 
 class _BudgetExceeded(Exception):
@@ -121,6 +119,39 @@ def verify_homogeneous(
     return None
 
 
+def _constant_prefix(colorings: Sequence[TupleColoring], points: Sequence[int]) -> tuple[int, ...]:
+    """The colors of the leading colorings that are constant on points,
+    up to the first one that is not."""
+    colors = []
+    for coloring in colorings:
+        tuples = combinations(points, coloring.arity)
+        first = coloring.color(next(tuples))
+        if any(coloring.color(tup) != first for tup in tuples):
+            break
+        colors.append(first)
+    return tuple(colors)
+
+
+def _least_constant_subset(
+    colorings: Sequence[TupleColoring], size: int, pts: list[int], budget: int | None, empty: str
+):
+    """Lexicographically least size-subset of pts on which every coloring is
+    constant, re-checked by verify_homogeneous; empty is the reason given
+    when the scan completes without one."""
+    cap = _effective_budget(budget, len(pts), max(f.arity for f in colorings))
+    scanned = 0
+    for candidate in combinations(pts, size):
+        if scanned >= cap:
+            return NoHomogeneousSet(reason="budget exceeded", exhaustive=False, nodes=scanned)
+        scanned += 1
+        colors = _constant_prefix(colorings, candidate)
+        if len(colors) == len(colorings):
+            if verify_homogeneous(colorings, candidate) is not None:
+                raise RuntimeError("verifier rejected a set the scan accepted")
+            return HomogeneousSet(members=candidate, top=None, colors=colors)
+    return NoHomogeneousSet(reason=empty, exhaustive=True, nodes=scanned)
+
+
 def brute_homogeneous(
     coloring: TupleColoring, m: int, points: Sequence[int] | None = None, budget: int | None = None
 ):
@@ -128,25 +159,8 @@ def brute_homogeneous(
     if m < coloring.arity:
         raise ValueError(f"target size {m} below arity {coloring.arity}")
     pts = sorted(points) if points is not None else list(range(coloring.universe))
-    cap = _effective_budget(budget, len(pts), coloring.arity)
-    scanned = 0
-    for candidate in combinations(pts, m):
-        if scanned >= cap:
-            return NoHomogeneousSet(
-                reason="budget exceeded", exhaustive=False, nodes=scanned, candidates=scanned
-            )
-        scanned += 1
-        tuples = combinations(candidate, coloring.arity)
-        first = coloring.color(next(tuples))
-        if all(coloring.color(tup) == first for tup in tuples):
-            if verify_homogeneous([coloring], candidate) is not None:
-                raise RuntimeError("verifier rejected a set the scan accepted")
-            return HomogeneousSet(members=candidate, top=None, colors=(first,))
-    return NoHomogeneousSet(
-        reason="no homogeneous set of the requested size",
-        exhaustive=True,
-        nodes=scanned,
-        candidates=scanned,
+    return _least_constant_subset(
+        [coloring], m, pts, budget, "no homogeneous set of the requested size"
     )
 
 
@@ -166,10 +180,10 @@ def greedy_end_homogeneous(
     Invariant: a chain receives its parent's viable points above its newest
     point, and each of them already agrees with t on every y that avoids
     the newest point.  So a chain checks only y = z + (chain[-1],) for the
-    (n-2)-tuples z below it; the viable lists, node counts and failure
-    diagnostics are those of checking every y afresh.  The y are generated
-    per candidate, not listed per chain: such a list, held through the
-    recursion, showed as a higher peak RSS.
+    (n-2)-tuples z below it; the viable lists and node counts are those of
+    checking every y afresh.  The y are generated per candidate, not listed
+    per chain: such a list, held through the recursion, showed as a higher
+    peak RSS.
     """
     n = coloring.arity
     if n < 2:
@@ -177,12 +191,9 @@ def greedy_end_homogeneous(
     pts = sorted(points) if points is not None else list(range(coloring.universe))
     cap = _effective_budget(budget, len(pts), n)
     nodes = 0
-    deepest: tuple[int, ...] = ()
-    deepest_top: int | None = None
-    deepest_constraints: tuple = ()
 
     def grow(top: int, candidates: list[int], chain: list[int], reduced: TupleColoring):
-        nonlocal nodes, deepest, deepest_top, deepest_constraints
+        nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise _BudgetExceeded
@@ -204,12 +215,6 @@ def greedy_end_homogeneous(
                 if verify_homogeneous([coloring], result.members, result.top) is not None:
                     raise RuntimeError("extracted set failed independent verification")
                 return result
-            if len(chain) >= len(deepest):
-                deepest = tuple(chain)
-                deepest_top = top
-                deepest_constraints = tuple(
-                    (y, coloring.color(y + (top,))) for y in combinations(chain, n - 1)
-                )
             return None
         for i, alpha in enumerate(viable):
             result = grow(top, viable[i + 1 :], chain + [alpha], reduced)
@@ -239,34 +244,6 @@ def greedy_end_homogeneous(
         reason="budget exceeded" if truncated else "every top candidate exhausted",
         exhaustive=not truncated,
         nodes=nodes,
-        top=deepest_top,
-        deepest=deepest,
-        constraints=deepest_constraints,
-    )
-
-
-def _simultaneous_scan(
-    colorings: Sequence[TupleColoring], m: int, pts: list[int], budget: int | None
-):
-    """Complete direct scan for m members plus top constant for every coloring."""
-    cap = _effective_budget(budget, len(pts), max(f.arity for f in colorings))
-    scanned = 0
-    for candidate in combinations(pts, m + 1):
-        if scanned >= cap:
-            return NoHomogeneousSet(reason="budget exceeded", exhaustive=False, nodes=scanned)
-        scanned += 1
-        colors = []
-        for coloring in colorings:
-            tuples = combinations(candidate, coloring.arity)
-            first = coloring.color(next(tuples))
-            if any(coloring.color(tup) != first for tup in tuples):
-                colors = None
-                break
-            colors.append(first)
-        if colors is not None:
-            return HomogeneousSet(members=candidate[:-1], top=candidate[-1], colors=tuple(colors))
-    return NoHomogeneousSet(
-        reason="no simultaneous homogeneous set", exhaustive=True, nodes=scanned
     )
 
 
@@ -278,40 +255,38 @@ def multi_homogeneous(
 ):
     """Members plus top homogeneous for every listed coloring at once.
 
-    Works by iterated restriction (homogenize the first coloring, search
-    within the result for the second, and so on).  When restriction dead
-    ends, a direct simultaneous scan of the original points settles the
-    matter, so a NotFound with exhaustive=True really means no such set
-    exists.
+    The end-agreement search runs once, on the first coloring, and its
+    m + 1 points are kept when every other coloring is constant on them.
+    Otherwise a direct scan of the (m + 1)-subsets of the original points
+    settles the matter, so a NotFound with exhaustive=True really means no
+    such set exists.  A NotFound's level is the first coloring not constant
+    on the level-0 set, or 0 when the level-0 search found none.
     """
     if not colorings:
         raise ValueError("need at least one coloring")
     universes = {f.universe for f in colorings}
     if len(universes) != 1:
         raise ValueError("colorings must share a universe")
+    arity = max(f.arity for f in colorings)
+    if m + 1 < arity:
+        raise ValueError(f"target size {m} plus a top below arity {arity}")
     pts = sorted(points) if points is not None else list(range(colorings[0].universe))
-    current = pts
-    nodes = 0
-    result = None
-    for level, coloring in enumerate(colorings):
-        result = greedy_end_homogeneous(coloring, m, points=current, budget=budget)
-        nodes += result.nodes if isinstance(result, NoHomogeneousSet) else 0
-        if isinstance(result, NoHomogeneousSet):
-            scan = _simultaneous_scan(colorings, m, pts, budget)
-            if isinstance(scan, HomogeneousSet):
-                return scan
-            return NoHomogeneousSet(
-                reason=f"level {level} ({result.reason}); direct scan: {scan.reason}",
-                exhaustive=scan.exhaustive,
-                nodes=nodes + scan.nodes,
-                level=level,
-                deepest=result.deepest,
-                constraints=result.constraints,
-            )
-        current = sorted(result.all_points())
-    members, top = result.members, result.top
-    all_points = sorted(members) + [top]
-    colors = tuple(f.color(tuple(all_points[: f.arity])) for f in colorings)
-    if verify_homogeneous(colorings, members, top) is not None:
-        raise RuntimeError("iterated restriction produced a non-homogeneous set")
-    return HomogeneousSet(members=members, top=top, colors=colors)
+    found = greedy_end_homogeneous(colorings[0], m, points=pts, budget=budget)
+    if isinstance(found, NoHomogeneousSet):
+        level, why, nodes = 0, found.reason, found.nodes
+    else:
+        colors = found.colors + _constant_prefix(colorings[1:], found.all_points())
+        if len(colors) == len(colorings):
+            if verify_homogeneous(colorings, found.members, found.top) is not None:
+                raise RuntimeError("the level-0 set failed independent verification")
+            return HomogeneousSet(members=found.members, top=found.top, colors=colors)
+        level, why, nodes = len(colors), "not constant on the level-0 set", 0
+    scan = _least_constant_subset(colorings, m + 1, pts, budget, "no simultaneous homogeneous set")
+    if isinstance(scan, HomogeneousSet):
+        return HomogeneousSet(members=scan.members[:-1], top=scan.members[-1], colors=scan.colors)
+    return NoHomogeneousSet(
+        reason=f"level {level} ({why}); direct scan: {scan.reason}",
+        exhaustive=scan.exhaustive,
+        nodes=nodes + scan.nodes,
+        level=level,
+    )

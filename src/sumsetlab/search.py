@@ -436,8 +436,10 @@ def threshold_scan(
     Every fresh witness has passed find_bad_coloring's exhaustive leaf
     re-check, and every witness read back from a checkpoint is re-checked
     the same way on load.  A FORCED verdict followed by an ESCAPABLE one at
-    larger M aborts the run.  With a checkpoint path (single worker only) the scan persists
-    completed records plus the in-flight DFS prefix and resumes from them.
+    larger M aborts the run; a checkpoint whose stored rows skip an M or
+    already break that order is refused.  With a checkpoint path (single
+    worker only) the scan persists completed records plus the in-flight DFS
+    prefix and resumes from them.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -491,13 +493,23 @@ class _ScanCheckpoint:
             self.state = loaded
 
     def completed_records(self) -> list[ThresholdRecord]:
-        """The stored records; a stored witness must color exactly 1..M and
-        admit no monochromatic X + X, or ValueError is raised."""
+        """The stored records.  They must be the rows M = 1, 2, ... in order,
+        no ESCAPABLE row may follow a FORCED one, and a stored witness must
+        color exactly 1..M and admit no monochromatic X + X, or ValueError
+        is raised."""
         records = []
-        for row in self.state["records"]:
+        forced_at = None
+        for M, row in enumerate(self.state["records"], start=1):
+            if row["M"] != M:
+                raise ValueError(f"checkpoint {self.path}: row {M} is for M={row['M']}, not M={M}")
+            if row["verdict"] == ESCAPABLE and forced_at is not None:
+                raise ValueError(
+                    f"checkpoint {self.path}: M={M} is ESCAPABLE but M={forced_at} is FORCED"
+                )
+            if row["verdict"] == FORCED and forced_at is None:
+                forced_at = M
             witness = None
             if row["witness"] is not None:
-                M = row["M"]
                 witness = NatColoring(r=self.config["r"], colors=tuple(row["witness"]))
                 if witness.M != M:
                     raise ValueError(
@@ -512,7 +524,7 @@ class _ScanCheckpoint:
                 ThresholdRecord(
                     k=self.config["k"],
                     r=self.config["r"],
-                    M=row["M"],
+                    M=M,
                     verdict=row["verdict"],
                     witness=witness,
                     nodes=row["nodes"],

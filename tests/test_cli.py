@@ -247,6 +247,20 @@ def test_search_checkpoint_extension(tmp_path):
     assert len(state["records"]) == 6
 
 
+def test_search_rejects_checkpoint_with_a_missing_row(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    ckpt = tmp_path / "state.json"
+    run_ok(["search", "--k", "2", "--r", "2", "--m-max", "5", "--out", str(out),
+            "--checkpoint", str(ckpt)])
+    state = json.loads(ckpt.read_text())
+    del state["records"][2]
+    ckpt.write_text(json.dumps(state))
+    code = main(["search", "--k", "2", "--r", "2", "--m-max", "6", "--out", str(out),
+                 "--checkpoint", str(ckpt)])
+    assert code == EXIT_USAGE
+    assert "row 3 is for M=4" in capsys.readouterr().err
+
+
 class _TornHandle:
     """Writable file that takes half of what it is given, then fails."""
 

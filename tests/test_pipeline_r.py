@@ -44,7 +44,6 @@ from sumsetlab.pipeline_r import (
     select_positions,
     shrink,
     system_from_universe,
-    trim_members,
     verify_saturation,
     witness_vectors,
 )
@@ -110,14 +109,12 @@ def test_family_system_validation():
         FamilySystem(families=(a, uneven))
 
 
-def test_trim_members_keeps_prefix_and_rho():
+def test_select_positions_keeps_prefix_and_rho():
     sys0 = system_from_universe(2, 12)
-    trimmed = trim_members(sys0, 2, rho=(0, 1, 0))
+    trimmed = select_positions(sys0, range(2), rho=(0, 1, 0))
     assert [f.members for f in trimmed.families] == [(1, 2), (7, 8)]
     assert [f.top for f in trimmed.families] == [5, 11]
     assert trimmed.rho == (0, 1, 0)
-    with pytest.raises(ValueError):
-        trim_members(sys0, 5)
 
 
 def test_select_positions_applies_same_slice_everywhere():
@@ -454,7 +451,7 @@ def test_last_step_size_validation():
 
 
 def test_witness_tuples_pair_level_shape():
-    sys0 = trim_members(system_from_universe(2, 12), 4)
+    sys0 = select_positions(system_from_universe(2, 12), range(4))
     a, b = make_witness_tuples(sys0, 0, 1, 4)
     assert [t.index for t in a] == [(0, TOP), (1, TOP), (2, TOP), (3, TOP)]
     assert sorted(b) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -463,7 +460,7 @@ def test_witness_tuples_pair_level_shape():
 
 
 def test_witness_tuples_stride_walk():
-    sys0 = trim_members(system_from_universe(3, 24), 6)
+    sys0 = select_positions(system_from_universe(3, 24), range(6))
     a, b = make_witness_tuples(sys0, 1, 2, 5)
     assert [t.index for t in a] == [(0, 1 + i, TOP) for i in range(5)]
     assert all(t.primed == (TOP,) for t in a)
@@ -476,7 +473,7 @@ def test_witness_tuples_stride_walk():
 
 
 def test_witness_tuples_count_zero_and_bounds():
-    sys0 = trim_members(system_from_universe(3, 24), 6)
+    sys0 = select_positions(system_from_universe(3, 24), range(6))
     a, b = make_witness_tuples(sys0, 1, 2, 0)
     assert a == [] and b == {}
     # stride 1 from level 1 to 2 allows (6 - 2) // 1 + 1 = 5 frames
@@ -488,18 +485,18 @@ def test_witness_tuples_count_zero_and_bounds():
 
 
 def test_witness_tuples_level_validation():
-    sys0 = trim_members(system_from_universe(2, 12), 4)
+    sys0 = select_positions(system_from_universe(2, 12), range(4))
     with pytest.raises(ValueError):
         make_witness_tuples(sys0, 1, 1, 1)
     with pytest.raises(ValueError):
         make_witness_tuples(sys0, 0, 3, 1)
-    tiny = trim_members(sys0, 1)
+    tiny = select_positions(sys0, range(1))
     with pytest.raises(ValueError):
         make_witness_tuples(tiny, 0, 2, 1)
 
 
 def test_witness_vectors_sum_identities():
-    sys0 = trim_members(system_from_universe(2, 12), 4)
+    sys0 = select_positions(system_from_universe(2, 12), range(4))
     xs, a, b = witness_vectors(sys0, 0, 1, 3)
     s0, s1 = make_string(2, 0), make_string(2, 1)
     for i, x in enumerate(xs):

@@ -127,7 +127,7 @@ def test_greedy_end_replacement_law_holds_at_arity_three():
         assert f.color(tup) == f.color(tup[:2] + (found.top,))
 
 
-def test_greedy_adversarial_last_slot_color_reports_diagnostics():
+def test_greedy_adversarial_last_slot_color_fails_exhaustively():
     # The only viable top is 4 (others have too few points below), and the
     # color of any tuple ending at 4 is one the coloring never takes below,
     # so no third chain point can ever agree.
@@ -135,9 +135,7 @@ def test_greedy_adversarial_last_slot_color_reports_diagnostics():
     outcome = greedy_end_homogeneous(f, 4)
     assert isinstance(outcome, NoHomogeneousSet)
     assert outcome.exhaustive
-    assert outcome.top == 4
-    assert len(outcome.deepest) == 2
-    assert outcome.constraints and all(color == 1 for _, color in outcome.constraints)
+    assert verify_homogeneous([f], (0, 1, 2, 3), top=4) is not None
 
 
 def test_greedy_pentagon_notfound_is_exhaustive():
@@ -171,6 +169,29 @@ def test_multi_unsatisfiable_reports_first_level_and_is_exhaustive():
     assert isinstance(outcome, NoHomogeneousSet)
     assert outcome.exhaustive
     assert outcome.level == 0
+
+
+def test_multi_reports_the_first_level_not_constant_on_the_level_0_set():
+    # The level-0 set (0, 1, 4) is no triangle of the pentagon coloring,
+    # and the direct scan finds no monochromatic triangle either.
+    fs = [constant_coloring(2, 5), pentagon_coloring()]
+    outcome = multi_homogeneous(fs, 2)
+    assert isinstance(outcome, NoHomogeneousSet)
+    assert outcome.exhaustive
+    assert outcome.level == 1
+
+
+def test_multi_falls_back_to_the_direct_scan():
+    # The level-0 set is (0, 1, 5); level 1 is constant only on sets
+    # avoiding 5, so the scan returns the least of those.
+    fs = [constant_coloring(2, 6), TupleColoring(2, 2, 6, lambda t: int(t[1] == 5))]
+    found = multi_homogeneous(fs, 2)
+    assert found == HomogeneousSet(members=(0, 1), top=2, colors=(0, 0))
+
+
+def test_multi_below_largest_arity_is_rejected():
+    with pytest.raises(ValueError):
+        multi_homogeneous([constant_coloring(2, 8), constant_coloring(4, 8)], 2)
 
 
 def test_multi_requires_shared_universe():
@@ -214,7 +235,7 @@ def reference_greedy_end_homogeneous(coloring, m, points=None, budget=None):
         cap = math.inf
     else:
         cap = TRUNCATED_BUDGET
-    state = {"nodes": 0, "deepest": (), "top": None, "constraints": ()}
+    state = {"nodes": 0}
 
     class Exceeded(Exception):
         pass
@@ -239,12 +260,6 @@ def reference_greedy_end_homogeneous(coloring, m, points=None, budget=None):
                 if verify_homogeneous([coloring], found.members, top) is not None:
                     raise AssertionError("extracted set failed verification")
                 return HomogeneousSet(members=found.members, top=top, colors=found.colors)
-            if len(chain) >= len(state["deepest"]):
-                state["deepest"] = tuple(chain)
-                state["top"] = top
-                state["constraints"] = tuple(
-                    (y, coloring.color(y + (top,))) for y in combinations(chain, n - 1)
-                )
             return None
         for alpha in viable:
             result = grow(top, below, chain + [alpha], reduced)
@@ -271,9 +286,6 @@ def reference_greedy_end_homogeneous(coloring, m, points=None, budget=None):
         reason="budget exceeded" if truncated else "every top candidate exhausted",
         exhaustive=not truncated,
         nodes=state["nodes"],
-        top=state["top"],
-        deepest=state["deepest"],
-        constraints=state["constraints"],
     )
 
 
@@ -334,3 +346,77 @@ def test_incremental_end_agreement_colors_fewer_tuples():
     assert outcome.members == (0, 1, 2, 3, 4, 5) and outcome.top == 19
     assert ours.evaluated <= ref.evaluated
     assert ours.calls < ref.calls
+
+
+# ---------------------------------------------------------------------------
+# one end-agreement search against iterated restriction
+
+
+def reference_multi_homogeneous(colorings, m, points=None, budget=None):
+    """Iterated restriction: an end-agreement search per coloring, each on
+    the points the previous one returned, then a simultaneous scan.
+
+    multi_homogeneous must give the same sets, exhaustive flags and levels
+    while searching only the first coloring.
+    """
+    pts = sorted(points) if points is not None else list(range(colorings[0].universe))
+    current = pts
+    result = None
+    for level, coloring in enumerate(colorings):
+        result = greedy_end_homogeneous(coloring, m, points=current, budget=budget)
+        if isinstance(result, NoHomogeneousSet):
+            if budget is not None:
+                cap = budget
+            elif len(pts) <= FULL_SCAN_POINTS and max(f.arity for f in colorings) <= FULL_SCAN_ARITY:
+                cap = math.inf
+            else:
+                cap = TRUNCATED_BUDGET
+            scanned = 0
+            for candidate in combinations(pts, m + 1):
+                if scanned >= cap:
+                    return NoHomogeneousSet("budget exceeded", False, scanned, level)
+                scanned += 1
+                colors = []
+                for f in colorings:
+                    tuples = list(combinations(candidate, f.arity))
+                    if len({f.color(tup) for tup in tuples}) > 1:
+                        break
+                    colors.append(f.color(tuples[0]))
+                else:
+                    return HomogeneousSet(candidate[:-1], candidate[-1], tuple(colors))
+            return NoHomogeneousSet("no simultaneous homogeneous set", True, scanned, level)
+        current = sorted(result.all_points())
+    points_found = sorted(result.members) + [result.top]
+    colors = tuple(f.color(tuple(points_found[: f.arity])) for f in colorings)
+    return HomogeneousSet(result.members, result.top, colors)
+
+
+def test_multi_matches_iterated_restriction():
+    rng = random.Random(20261019)
+    outcomes = {"found": 0, "level 0": 0, "level 1+": 0}
+    for run in range(400):
+        arities = [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]
+        universe = rng.randint(5, 11)
+        bias = rng.choice((0.6, 0.8, 0.95))
+        colorings = []
+        for arity in arities:
+            table = {
+                tup: 0 if rng.random() < bias else 1
+                for tup in combinations(range(universe), arity)
+            }
+            colorings.append(TupleColoring(arity, 2, universe, lambda t, table=table: table[t]))
+        m = rng.randint(max(arities) - 1, min(universe - 1, max(arities) + 2))
+        points = None if run % 2 else sorted(rng.sample(range(universe), universe - 1))
+        budget = (None, 5, 50, 500)[(run // 2) % 4]
+        outcome = multi_homogeneous(colorings, m, points=points, budget=budget)
+        expected = reference_multi_homogeneous(colorings, m, points=points, budget=budget)
+        if isinstance(expected, HomogeneousSet):
+            assert outcome == expected, run
+            assert verify_homogeneous(colorings, outcome.members, outcome.top) is None
+            outcomes["found"] += 1
+        else:
+            assert isinstance(outcome, NoHomogeneousSet), run
+            assert (outcome.exhaustive, outcome.level) == (expected.exhaustive, expected.level)
+            outcomes["level 0" if expected.level == 0 else "level 1+"] += 1
+    # The sample reaches every kind of outcome.
+    assert min(outcomes.values()) >= 10, outcomes

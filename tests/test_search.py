@@ -413,6 +413,26 @@ def test_checkpoint_rejects_a_bad_stored_witness(tmp_path):
         threshold_scan(2, 2, 8, checkpoint_path=path)
 
 
+def test_checkpoint_rejects_a_missing_row(tmp_path):
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 5, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    del state["records"][2]  # the M = 3 row
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="row 3 is for M=4, not M=3"):
+        threshold_scan(2, 2, 6, checkpoint_path=path)
+
+
+def test_checkpoint_rejects_a_stored_forced_row_below_an_escapable_one(tmp_path):
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 5, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    state["records"][1].update(verdict=FORCED, witness=None)
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="M=3 is ESCAPABLE but M=2 is FORCED"):
+        threshold_scan(2, 2, 5, checkpoint_path=path)
+
+
 def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     baseline = threshold_scan(2, 2, 12)
     path = tmp_path / "scan.json"
