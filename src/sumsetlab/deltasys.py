@@ -123,18 +123,6 @@ class SupportAssignment:
     def domain(self) -> list[tuple[int, ...]]:
         return sorted((_sorted_subset(u) for u in self.W), key=lambda t: (len(t), t))
 
-    def support_of(self, u: Iterable[int]) -> tuple[int, ...]:
-        key = _as_subset(u)
-        if key not in self.W:
-            raise KeyError(f"{tuple(sorted(key))} is outside the domain")
-        return self.W[key]
-
-    def with_support(self, u: Iterable[int], support: Iterable[int]) -> "SupportAssignment":
-        """A copy with one support replaced; handy for mutation tests."""
-        table = dict(self.W)
-        table[_as_subset(u)] = tuple(sorted(support))
-        return SupportAssignment(E=self.E, d=self.d, W=table)
-
     def to_payload(self) -> dict:
         return {
             "E": list(self.E),

@@ -8,7 +8,10 @@ by doubles and pairwise sums of the witness vectors built downstream.
 Every level tuple the pipelines color becomes a vector through star, so
 star is kept cheap: make_string returns one cached PatternString per
 (r, l) whose values are checked once, and star checks only the indices of
-a pattern before building through QVec's trusted constructor.
+a pattern before building through QVec's trusted constructor.  Level
+tuples arrive with strictly increasing indices, so star first tries a
+single pass that accepts exactly such input; anything else goes through
+the full distinctness, length and naturality checks.
 
 Index families model r disjoint blocks of coordinates, each with finitely
 many members plus one distinguished top.  Positions inside a family are
@@ -129,11 +132,22 @@ def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable
 
     The index set must consist of pairwise distinct naturals and match the
     string in length; all values must be nonzero.  A PatternString's values
-    are nonzero by construction, so only the indices are checked for it.
+    are nonzero by construction, so only the indices are checked for it,
+    and indices given as strictly increasing ints are accepted in a single
+    pass and placed without sorting.  Any other input meets the full
+    checks, in the order that fixes which error is reported.
     """
     trusted = isinstance(values, PatternString)
     vals = values.rationals if trusted else tuple(values)
     idx = tuple(indices)
+    if trusted and len(idx) == len(vals):
+        previous = -1
+        for index in idx:
+            if type(index) is not int or index <= previous:
+                break
+            previous = index
+        else:
+            return QVec._from_sorted(tuple(zip(idx, vals)))
     if len(idx) != len(set(idx)):
         raise ValueError(f"indices must be pairwise distinct, got {idx!r}")
     if len(vals) != len(idx):

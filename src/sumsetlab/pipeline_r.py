@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import inf
 from typing import Iterator, Sequence
 
 from .oracle import (
@@ -55,7 +56,6 @@ from .pattern import (
     halved_family,
     is_index_strictly_increasing,
     is_l_canonical,
-    is_top,
     pigeonhole_pair,
 )
 from .ramsey import HomogeneousSet, TupleColoring, brute_homogeneous
@@ -135,35 +135,61 @@ def iter_canonical_tuples(
 
     A pool is an ascending list of its family's member positions; the
     family's top is always available besides them.  Pools default to every
-    member position.  With index_strict the index vector must be strictly
-    increasing in the finite-strict sense; with containing_top_of=j only
-    tuples using the top of family j appear.  The enumeration order is
-    deterministic: index vectors ascend lexicographically with TOP last,
-    then primed vectors likewise.
+    member position.  With index_strict only index vectors that are
+    strictly increasing in the finite-strict sense are generated: finite
+    positions rise strictly and after the first TOP only TOP follows.
+    With containing_top_of=j only tuples using the top of family j appear.
+    The enumeration order is deterministic: index vectors ascend
+    lexicographically with TOP last, then primed vectors likewise.  Tuples
+    are built from the resolved positions, whose shape holds by
+    construction, so canonical_tuple does not check them again.
     """
     r = len(families)
     if not 0 <= l <= r:
         raise ValueError(f"level {l} out of range for {r} families")
     if pools is None:
         pools = [range(f.size) for f in families]
-    unprimed_choices: list[list[Position]] = []
-    for k in range(r):
-        if k < l:
-            unprimed_choices.append(list(pools[k]))
-        elif containing_top_of == k:
-            unprimed_choices.append([TOP])
-        else:
-            unprimed_choices.append([*pools[k], TOP])
-    for index in product(*unprimed_choices):
-        if index_strict and not is_index_strictly_increasing(index):
-            continue
-        bound = max((p for p in index if not is_top(p)), default=-1)
+    # A choice is a (position, coordinate index) pair; members ascend, TOP is last.
+    members = [[(p, f.members[p]) for p in pool] for f, pool in zip(families, pools)]
+    tops = [(TOP, f.top) for f in families]
+    unprimed = [
+        members[k] if k < l else [tops[k]] if containing_top_of == k else [*members[k], tops[k]]
+        for k in range(r)
+    ]
+
+    def vectors(k: int, floor: float) -> Iterator[list[tuple[Position, int]]]:
+        # Choices for families k.. whose finite positions exceed floor; with
+        # index_strict the floor rises with each pick and is infinite after TOP.
+        if k == r:
+            yield []
+            return
+        for choice in unprimed[k]:
+            p = choice[0]
+            if p is TOP:
+                above = inf if index_strict else floor
+            elif p > floor:
+                above = p if index_strict else floor
+            else:
+                continue
+            for rest in vectors(k + 1, above):
+                yield [choice, *rest]
+
+    for vector in vectors(0, -1):
+        index = tuple(p for p, _ in vector)
+        coords = [e for _, e in vector]
+        bound = max((p for p in index if p is not TOP), default=-1)
+        singles = tuple((e,) for e in coords[l:])
         primed_choices = [
-            [TOP] if containing_top_of == k else [*(p for p in pools[k] if p > bound), TOP]
+            [tops[k]]
+            if containing_top_of == k
+            else [*(c for c in members[k] if c[0] > bound), tops[k]]
             for k in range(l)
         ]
-        for primed in product(*primed_choices):
-            yield canonical_tuple(families, l, index, primed)
+        # Two products over the same choices run in step: positions and coordinates.
+        primed_positions = product(*([p for p, _ in choices] for choices in primed_choices))
+        primed_coords = product(*([e for _, e in choices] for choices in primed_choices))
+        for primed, partners in zip(primed_positions, primed_coords):
+            yield CanonicalTuple(l, index, primed, (*zip(coords, partners), *singles))
 
 
 @dataclass(frozen=True)
@@ -278,6 +304,7 @@ def replacement_search(
     j: int,
     pools: Sequence[Sequence[int]],
     lower: int,
+    colors: dict[tuple[int, ...], int] | None = None,
 ) -> int | ReplacementFailure:
     """Least member position of family j that can stand in for its top.
 
@@ -287,26 +314,37 @@ def replacement_search(
     A candidate is accepted when, for every level l and every l-canonical
     tuple drawn from the pools that contains family j's top, trading the
     top for the candidate leaves the tuple's color unchanged.
+
+    colors maps the entries of tuples with the top in place to their
+    color.  It is read before the oracle is asked and filled after, so a
+    caller that passes one map to several searches colors each such tuple
+    once; the candidate tuples are always colored afresh.
     """
     if not 0 <= j < sys.r:
         raise ValueError(f"family index {j} out of range")
+    if colors is None:
+        colors = {}
     floor = max([lower, *pools[j]])
     constraints = [
-        t
+        (t.l, t.entries)
         for l in range(sys.r + 1)
         for t in iter_canonical_tuples(sys.families, l, pools=pools, containing_top_of=j)
     ]
     family = sys.families[j]
     candidates = range(floor + 1, sys.member_count)
     # The tuples with the top in place do not depend on the candidate.
-    before = [derived(oracle, t.l, t.entries) for t in constraints] if candidates else []
+    if candidates:
+        for l, entries in constraints:
+            if entries not in colors:
+                colors[entries] = derived(oracle, l, entries)
     tried = 0
     for candidate in candidates:
         tried += 1
         member = family.members[candidate]
         if all(
-            c == derived(oracle, t.l, tuple(member if e == family.top else e for e in t.entries))
-            for t, c in zip(constraints, before)
+            colors[entries]
+            == derived(oracle, l, tuple(member if e == family.top else e for e in entries))
+            for l, entries in constraints
         ):
             return candidate
     return ReplacementFailure(
@@ -332,15 +370,18 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
     position chosen so far in any family, so the per-family position
     sequences interleave globally and each pool stays ascending.  The
     resulting system is exhaustively re-verified against the saturation law
-    before being returned.
+    before being returned.  Pools only grow, so most tuples with a top in
+    place recur from one search to the next; one map of their colors
+    serves every search of the call, and each is colored once.
     """
     if target < 1 or target > sys.member_count:
         raise ValueError(f"cannot shrink to {target} members from {sys.member_count}")
     pools: list[list[int]] = [[] for _ in range(sys.r)]
+    colors: dict[tuple[int, ...], int] = {}
     lower = -1
     for round_number in range(target):
         for family in range(sys.r):
-            picked = replacement_search(oracle, sys, family, pools, lower)
+            picked = replacement_search(oracle, sys, family, pools, lower, colors)
             if isinstance(picked, ReplacementFailure):
                 return PipelineRFailure(
                     stage="shrink",

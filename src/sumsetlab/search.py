@@ -32,7 +32,8 @@ and the first witness in task order wins, so results are reproducible
 bit for bit under any parallelism.  FORCED
 verdicts are monotone in M; the scan asserts this and aborts loudly on a
 violation, since one would mean the X-range convention was broken
-somewhere.
+somewhere, or, when the FORCED row was read from a checkpoint, that the
+file is wrong.
 
 Checkpoints, tables and witness files go through write_text_atomic, so a
 crash mid-write leaves the previous file, never a torn one.
@@ -436,10 +437,12 @@ def threshold_scan(
     Every fresh witness has passed find_bad_coloring's exhaustive leaf
     re-check, and every witness read back from a checkpoint is re-checked
     the same way on load.  A FORCED verdict followed by an ESCAPABLE one at
-    larger M aborts the run; a checkpoint whose stored rows skip an M or
-    already break that order is refused.  With a checkpoint path (single
-    worker only) the scan persists completed records plus the in-flight DFS
-    prefix and resumes from them.
+    larger M aborts the run: with ValueError naming the row when the FORCED
+    row was read from the checkpoint, with RuntimeError when this run found
+    both.  A checkpoint whose stored rows skip an M or already break that
+    order is refused.  With a checkpoint path (single worker only) the scan
+    persists completed records plus the in-flight DFS prefix and resumes
+    from them.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -450,17 +453,25 @@ def threshold_scan(
     # are the same no matter how far a run intends to go, so a later run may
     # extend (or truncate its view of) an earlier scan.
     records = state.completed_records()[:M_max]
-    forced_seen = any(record.verdict == FORCED for record in records)
-    for M in range(len(records) + 1, M_max + 1):
+    stored = len(records)
+    forced_at = next((record.M for record in records if record.verdict == FORCED), None)
+    for M in range(stored + 1, M_max + 1):
         record = _scan_one(
             k, r, M, budget, x_max, workers, task_hook=state.task_hook_for(M)
         )
-        if record.verdict == ESCAPABLE and forced_seen:
+        if record.verdict == ESCAPABLE and forced_at is not None:
+            # A stored row is outside input: the file is at fault, not the search.
+            if forced_at <= stored:
+                raise ValueError(
+                    f"checkpoint {state.path}: monotonicity violated: its row M={forced_at} "
+                    f"is FORCED but a bad coloring exists at M={M}"
+                )
             raise RuntimeError(
                 f"monotonicity violated: FORCED below M={M} but a bad coloring "
                 f"exists at M={M}"
             )
-        forced_seen = forced_seen or record.verdict == FORCED
+        if record.verdict == FORCED and forced_at is None:
+            forced_at = M
         records.append(record)
         state.record_done(records)
     state.finish()

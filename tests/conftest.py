@@ -1,13 +1,18 @@
-"""Helper oracles shared between the module tests and the acceptance battery.
+"""Helpers shared between the module tests and the acceptance battery.
 
 The pipelines get exercised against colorings with engineered structure:
 some make every stage succeed for a predictable reason, others break one
 specific stage on purpose.  They are ordinary ColoringOracles; they live
 here so the per-module tests and test_acceptance use the same copies.
+support_of and with_support read and mutate a SupportAssignment for the
+coherence-checker tests.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from sumsetlab.deltasys import SupportAssignment
 from sumsetlab.oracle import (
     ColoringOracle,
     LookupTableOracle,
@@ -82,3 +87,20 @@ def profile_oracle(r: int, profile) -> OrderInvariantOracle:
     color.
     """
     return OrderInvariantOracle(LookupTableOracle(r, level_pattern_table(r, profile)))
+
+
+def support_of(assignment: SupportAssignment, u: Iterable[int]) -> tuple[int, ...]:
+    """W(u); KeyError when u is outside the domain."""
+    key = frozenset(u)
+    if key not in assignment.W:
+        raise KeyError(f"{tuple(sorted(key))} is outside the domain")
+    return assignment.W[key]
+
+
+def with_support(
+    assignment: SupportAssignment, u: Iterable[int], support: Iterable[int]
+) -> SupportAssignment:
+    """A copy of the assignment with the support of u replaced."""
+    table = dict(assignment.W)
+    table[frozenset(u)] = tuple(sorted(support))
+    return SupportAssignment(E=assignment.E, d=assignment.d, W=table)

@@ -14,7 +14,7 @@ import filecmp
 import time
 from itertools import combinations, product
 
-from conftest import PositionCutOracle, profile_oracle
+from conftest import PositionCutOracle, profile_oracle, support_of, with_support
 from sumsetlab.cli import EXIT_OK, main
 from sumsetlab.deltasys import check_cl3, check_cl4, generate_canonical
 from sumsetlab.oracle import make_oracle
@@ -316,11 +316,11 @@ def test_criterion_7_support_checkers():
             assert not report.violations and not report.precondition_failures, (i, report.describe())
         # the empty set's kernel sits inside every support; removing one of
         # its points from a single nonempty support must break the meet law
-        kernel = set(assignment.support_of(()))
+        kernel = set(support_of(assignment, ()))
         target = next(u for u in assignment.domain() if u)
-        victim = min(p for p in assignment.support_of(target) if p in kernel)
-        mutated = assignment.with_support(
-            target, tuple(p for p in assignment.support_of(target) if p != victim)
+        victim = min(p for p in support_of(assignment, target) if p in kernel)
+        mutated = with_support(
+            assignment, target, tuple(p for p in support_of(assignment, target) if p != victim)
         )
         m3 = check_cl3(mutated)
         m4 = check_cl4(mutated, m3)

@@ -261,6 +261,19 @@ def test_search_rejects_checkpoint_with_a_missing_row(tmp_path, capsys):
     assert "row 3 is for M=4" in capsys.readouterr().err
 
 
+def test_search_rejects_checkpoint_contradicted_by_a_fresh_row(tmp_path, capsys):
+    ckpt = tmp_path / "state.json"
+    ckpt.write_text(json.dumps({
+        "config": {"k": 2, "r": 2, "budget": None, "x_max": None},
+        "records": [{"M": 1, "verdict": "FORCED", "witness": None, "nodes": 1}],
+        "in_flight": None,
+    }))
+    code = main(["search", "--k", "2", "--r", "2", "--m-max", "3",
+                 "--out", str(tmp_path / "scan.csv"), "--checkpoint", str(ckpt)])
+    assert code == EXIT_USAGE
+    assert "its row M=1 is FORCED but a bad coloring exists at M=2" in capsys.readouterr().err
+
+
 class _TornHandle:
     """Writable file that takes half of what it is given, then fails."""
 

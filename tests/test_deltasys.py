@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import support_of, with_support
 from sumsetlab.deltasys import (
     CheckReport,
     OrderIso,
@@ -123,16 +124,16 @@ def clean_under_both_laws(assignment):
 def test_generated_instance_layout():
     g = small_instance()
     assert g.domain()[:5] == [(), (0,), (2,), (5,), (6,)]
-    assert g.support_of(()) == ()
-    assert g.support_of((0,)) == (0, 7)
-    assert g.support_of((0, 2)) == (0, 2, 7, 8, 9, 10)
-    assert g.support_of((5, 6)) == (5, 6, 11, 16, 21, 22)
+    assert support_of(g, ()) == ()
+    assert support_of(g, (0,)) == (0, 7)
+    assert support_of(g, (0, 2)) == (0, 2, 7, 8, 9, 10)
+    assert support_of(g, (5, 6)) == (5, 6, 11, 16, 21, 22)
 
 
 def test_support_of_outside_domain():
     g = small_instance()
     with pytest.raises(KeyError):
-        g.support_of((0, 2, 5))
+        support_of(g, (0, 2, 5))
 
 
 def test_assignment_validation():
@@ -168,10 +169,10 @@ def test_serialization_round_trip():
 
 def test_with_support_replaces_one_entry():
     g = small_instance()
-    mutated = g.with_support((0,), (0, 7, 99))
-    assert mutated.support_of((0,)) == (0, 7, 99)
-    assert mutated.support_of((2,)) == g.support_of((2,))
-    assert g.support_of((0,)) == (0, 7)
+    mutated = with_support(g, (0,), (0, 7, 99))
+    assert support_of(mutated, (0,)) == (0, 7, 99)
+    assert support_of(mutated, (2,)) == support_of(g, (2,))
+    assert support_of(g, (0,)) == (0, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_generated_instance_passes_both_laws():
 
 def test_zero_padding_gives_identity_supports():
     g = generate_canonical((1, 3), 1, {})
-    assert {u: g.support_of(u) for u in g.domain()} == {
+    assert {u: support_of(g, u) for u in g.domain()} == {
         (): (),
         (1,): (1,),
         (3,): (3,),
@@ -242,10 +243,10 @@ def test_constant_assignment_passes_cl3_but_fails_cl4():
 
 def test_rank_shift_mutation_caught_only_by_cl4():
     g = generate_canonical((1, 2), 1, {0: 1, 1: 1})
-    assert g.support_of((1,)) == (1, 3, 4)
+    assert support_of(g, (1,)) == (1, 3, 4)
     # Swap the fresh point 4 for 0: sizes and intersections are unchanged,
     # but the rank of the element 1 inside its own support shifts.
-    mutated = g.with_support((1,), (0, 1, 3))
+    mutated = with_support(g, (1,), (0, 1, 3))
     cl3 = check_cl3(mutated)
     assert cl3.clean
     report = check_cl4(mutated, cl3)
@@ -257,7 +258,7 @@ def test_rank_shift_mutation_caught_only_by_cl4():
 
 def test_type_uniformity_reported_as_precondition():
     g = generate_canonical((1, 2), 1, {0: 1, 1: 1})
-    bigger = g.with_support((1,), g.support_of((1,)) + (99,))
+    bigger = with_support(g, (1,), support_of(g, (1,)) + (99,))
     cl3 = check_cl3(bigger)
     assert cl3.clean
     report = check_cl4(bigger, cl3)
@@ -269,7 +270,7 @@ def test_type_uniformity_reported_as_precondition():
 
 def test_cl3_failure_reported_as_cl4_precondition():
     g = small_instance()
-    damaged = g.with_support((0,), (0,))  # drop the fresh point 7
+    damaged = with_support(g, (0,), (0,))  # drop the fresh point 7
     cl3 = check_cl3(damaged)
     assert not cl3.clean
     assert cl3.violations  # names the offending pair
@@ -280,7 +281,7 @@ def test_cl3_failure_reported_as_cl4_precondition():
 
 def test_describe_lists_failures():
     g = small_instance()
-    damaged = g.with_support((0,), (0,))
+    damaged = with_support(g, (0,), (0,))
     text = check_cl3(damaged).describe()
     assert text.startswith("CL3: 3 violations, 0 precondition failures")
     assert "W((0,))" in text
@@ -290,11 +291,11 @@ def test_every_fresh_point_removal_is_caught():
     g = small_instance()
     mutations = 0
     for u in g.domain():
-        support = g.support_of(u)
+        support = support_of(g, u)
         for point in support:
             if point in u:
                 continue
-            mutated = g.with_support(u, tuple(q for q in support if q != point))
+            mutated = with_support(g, u, tuple(q for q in support if q != point))
             mutations += 1
             assert not clean_under_both_laws(mutated), (u, point)
     assert mutations > 20
@@ -429,13 +430,13 @@ def test_rank_signatures_match_order_isos_on_support_mutations():
         choice = rng.randrange(3)
         if choice == 0 and len(support) > len(u):
             victim = rng.choice([p for p in support if p not in u])
-            mutated = g.with_support(u, tuple(p for p in support if p != victim))
+            mutated = with_support(g, u, tuple(p for p in support if p != victim))
         elif choice == 1:
-            mutated = g.with_support(u, support + (rng.choice(extra),))
+            mutated = with_support(g, u, support + (rng.choice(extra),))
         else:
             keep = [p for p in support if p in u]
             trade = rng.sample(extra, len(support) - len(keep))
-            mutated = g.with_support(u, tuple(keep + trade))
+            mutated = with_support(g, u, tuple(keep + trade))
         tripped += bool(assert_same_cl4(mutated).precondition_failures)
     assert tripped >= 50
 
@@ -446,9 +447,9 @@ def test_rank_signatures_match_order_isos_on_the_hand_built_cases():
     g = generate_canonical((1, 2), 1, {0: 1, 1: 1})
     for assignment in (
         const,
-        g.with_support((1,), (0, 1, 3)),
+        with_support(g, (1,), (0, 1, 3)),
         small_instance(),
-        small_instance().with_support((0,), (0,)),
+        with_support(small_instance(), (0,), (0,)),
     ):
         assert_same_cl4(assignment)
 
@@ -468,14 +469,14 @@ def test_universe_bound_enforced():
     with pytest.raises(UniverseExhausted):
         generate_canonical((0, 2, 5, 6), 2, {1: 1, 2: 2}, universe=15)
     g = generate_canonical((0, 2, 5, 6), 2, {1: 1, 2: 2}, universe=50)
-    points = {p for u in g.domain() for p in g.support_of(u)}
+    points = {p for u in g.domain() for p in support_of(g, u)}
     assert max(points) == 22 < 50
 
 
 def test_fresh_points_start_above_e():
     g = generate_canonical((10, 20), 1, {0: 2, 1: 1})
     fresh = {
-        p for u in g.domain() for p in g.support_of(u) if p not in {10, 20}
+        p for u in g.domain() for p in support_of(g, u) if p not in {10, 20}
     }
     assert min(fresh) == 21
     assert fresh == set(range(21, 25))

@@ -96,13 +96,35 @@ def test_star_of_a_pattern_string_equals_the_validating_constructor():
                 assert {slow: (r, l)}[fast] == (r, l)
 
 
+# Each bad index set with the exact message star reports for it.
+STAR_INDEX_ERRORS = [
+    ((-1, 2, 3), "index must be a natural number, got -1"),
+    ((True, 2, 3), "index must be a natural number, got True"),
+    ((1, False, 3), "index must be a natural number, got False"),
+    ((1.0, 2, 3), "index must be a natural number, got 1.0"),
+    (("1", 2, 3), "index must be a natural number, got '1'"),
+    ((2, 2, 3), "indices must be pairwise distinct, got (2, 2, 3)"),
+    ((1, 2), "length mismatch: 3 values vs 2 indices"),
+    ((1, 2, 3, 4), "length mismatch: 3 values vs 4 indices"),
+    # Sorted, yet not naturals, not distinct or not of the string's length.
+    ((False, 1, 2), "index must be a natural number, got False"),
+    ((-1, 0, 1), "index must be a natural number, got -1"),
+    ((0, 0.5, 1), "index must be a natural number, got 0.5"),
+    ((0, 1, 1), "indices must be pairwise distinct, got (0, 1, 1)"),
+    ((0, 1, 1, 2), "indices must be pairwise distinct, got (0, 1, 1, 2)"),
+    ((0, 1), "length mismatch: 3 values vs 2 indices"),
+    ((0, 1, 2, 3), "length mismatch: 3 values vs 4 indices"),
+]
+
+
 @pytest.mark.parametrize(
-    "indices",
-    [(-1, 2, 3), (True, 2, 3), (1, False, 3), (1.0, 2, 3), ("1", 2, 3), (2, 2, 3), (1, 2), (1, 2, 3, 4)],
+    "indices, message",
+    [pytest.param(*case, id=f"indices{i}") for i, case in enumerate(STAR_INDEX_ERRORS)],
 )
-def test_star_of_a_pattern_string_still_checks_its_indices(indices):
-    with pytest.raises(ValueError):
+def test_star_of_a_pattern_string_still_checks_its_indices(indices, message):
+    with pytest.raises(ValueError) as raised:
         star(make_string(2, 1), indices)
+    assert str(raised.value) == message
 
 
 def test_top_compares_above_every_natural():

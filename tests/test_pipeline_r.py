@@ -10,11 +10,13 @@ confirmed against an independent enumeration before being frozen.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from conftest import PositionCutOracle, PrimedTopOracle, profile_oracle
+from sumsetlab import pipeline_r
 from sumsetlab.oracle import WitnessCertificate, derived, make_oracle, verify_witness
 from sumsetlab.pattern import (
     TOP,
@@ -150,12 +152,14 @@ def test_iter_counts_hand_checked():
 def test_iter_matches_independent_filter():
     """The iterator must agree with 'try everything, keep what validates',
     in ascending (index, primed) order, on default and explicit pools, with
-    and without a required top."""
+    and without a required top, and with and without index_strict."""
 
-    def brute(families, l, pools, containing_top_of):
+    def brute(families, l, pools, containing_top_of, index_strict):
         pool = [list(p) + [TOP] for p in pools]
         out = []
         for index in product(*pool):
+            if index_strict and not is_index_strictly_increasing(index):
+                continue
             for primed in product(*pool[:l]):
                 try:
                     t = canonical_tuple(families, l, index, primed)
@@ -167,18 +171,22 @@ def test_iter_matches_independent_filter():
                     out.append(t)
         return sorted(out, key=lambda t: (t.index, t.primed))
 
-    for r, m in [(1, 3), (2, 3), (3, 2)]:
-        fams = layout_families(r, m).families
-        default = [range(m)] * r
-        for l in range(r + 1):
-            assert list(iter_canonical_tuples(fams, l)) == brute(fams, l, default, None)
-    fams = layout_families(3, 4).families
-    for pools in ([[0, 2], [1, 3], [2]], [[], [0], [1, 2, 3]], [[1], [], []]):
-        for l in range(4):
-            for top_of in (None, 0, 1, 2):
-                expected = brute(fams, l, pools, top_of)
-                got = iter_canonical_tuples(fams, l, pools=pools, containing_top_of=top_of)
-                assert list(got) == expected, (pools, l, top_of)
+    for strict in (False, True):
+        for r, m in [(1, 3), (2, 3), (3, 2), (4, 3)]:
+            fams = layout_families(r, m).families
+            default = [range(m)] * r
+            for l in range(r + 1):
+                expected = brute(fams, l, default, None, strict)
+                assert list(iter_canonical_tuples(fams, l, index_strict=strict)) == expected
+        fams = layout_families(3, 4).families
+        for pools in ([[0, 2], [1, 3], [2]], [[], [0], [1, 2, 3]], [[1], [], []]):
+            for l in range(4):
+                for top_of in (None, 0, 1, 2):
+                    expected = brute(fams, l, pools, top_of, strict)
+                    got = iter_canonical_tuples(
+                        fams, l, pools=pools, index_strict=strict, containing_top_of=top_of
+                    )
+                    assert list(got) == expected, (pools, l, top_of, strict)
 
 
 def test_iter_yields_only_canonical_tuples():
@@ -388,6 +396,42 @@ def test_shrink_interleaves_round_robin_picks():
     ]
     assert [f.top for f in shrunk.families] == [14, 29, 44]
     assert verify_saturation(oracle, shrunk) is None
+
+
+def test_shrink_colors_each_top_in_place_tuple_once(monkeypatch):
+    # A search for family j colors the tuples with j's top in place, whose
+    # vectors hold that top, and candidate tuples, whose vectors do not.
+    # Pools only grow, so top-in-place tuples recur from one search to the
+    # next; shrink must color each of them once.
+    searching: list[int] = []
+    top_in_place: list[QVec] = []
+
+    class Recording(PositionCutOracle):
+        def _color_impl(self, v):
+            if searching and searching[-1] in v.support:
+                top_in_place.append(v)
+            return super()._color_impl(v)
+
+    search = pipeline_r.replacement_search
+
+    def spy(oracle, sys, j, *args):
+        searching.append(sys.families[j].top)
+        try:
+            return search(oracle, sys, j, *args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(pipeline_r, "replacement_search", spy)
+    sys0 = system_from_universe(3, 45)
+    shrunk = shrink(Recording(3, sys0, cut=9), sys0, 4)
+    assert [f.members for f in shrunk.families] == [
+        (1, 4, 7, 10),
+        (17, 20, 23, 26),
+        (33, 36, 39, 42),
+    ]
+    counts = Counter(top_in_place)
+    assert len(counts) > 100
+    assert max(counts.values()) == 1
 
 
 def test_shrink_target_validation():

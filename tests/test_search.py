@@ -278,6 +278,16 @@ def test_threshold_scan_pair_sumsets():
             assert has_mono_sumset(rec.witness, 2) is None
 
 
+def test_threshold_scan_triple_sumsets_force_at_46():
+    # The least FORCED universe for (k, r) = (3, 2); each witness below it
+    # is re-checked by the exhaustive has_mono_sumset scan.
+    records = threshold_scan(3, 2, 46)
+    assert [rec.verdict for rec in records] == [ESCAPABLE] * 45 + [FORCED]
+    assert all(rec.M == i for i, rec in enumerate(records, start=1))
+    for rec in records[:-1]:
+        assert has_mono_sumset(rec.witness, 3) is None
+
+
 def test_threshold_scan_singletons():
     records = threshold_scan(1, 2, 4)
     assert [rec.verdict for rec in records] == [ESCAPABLE, FORCED, FORCED, FORCED]
@@ -468,7 +478,8 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
 
 def test_monotonicity_guard_aborts(tmp_path):
     # Plant a FORCED verdict below a genuinely escapable universe; the scan
-    # must refuse to continue rather than emit a non-monotone table.
+    # must refuse to continue rather than emit a non-monotone table, and
+    # blame the file it read the FORCED row from.
     path = tmp_path / "scan.json"
     path.write_text(
         json.dumps(
@@ -479,8 +490,21 @@ def test_monotonicity_guard_aborts(tmp_path):
             }
         )
     )
-    with pytest.raises(RuntimeError, match="monotonicity violated"):
+    with pytest.raises(ValueError, match="monotonicity violated: its row M=1 is FORCED"):
         threshold_scan(2, 2, 3, checkpoint_path=path)
+
+
+def test_monotonicity_guard_blames_the_search_for_its_own_rows(monkeypatch):
+    # Both rows come from this run, so a violation is a fault of the code.
+    verdicts = {1: FORCED, 2: ESCAPABLE}
+
+    def fake_scan_one(k, r, M, *args, **kwargs):
+        witness = NatColoring(r=r, colors=(0,) * M) if verdicts[M] == ESCAPABLE else None
+        return ThresholdRecord(k=k, r=r, M=M, verdict=verdicts[M], witness=witness, nodes=1)
+
+    monkeypatch.setattr(sumsetlab.search, "_scan_one", fake_scan_one)
+    with pytest.raises(RuntimeError, match="monotonicity violated: FORCED below M=2"):
+        threshold_scan(2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
