@@ -24,11 +24,13 @@ from .oracle import (
     FourCountOracle,
     LookupTableOracle,
     OrderInvariantOracle,
+    PipelineFailure,
     SeededHashOracle,
     SupportSizeOracle,
     UnmappedVector,
     WitnessCertificate,
     WitnessFailure,
+    certified_witness,
     derived,
     level_pattern_table,
     make_oracle,
@@ -47,11 +49,10 @@ from .pattern import (
     pigeonhole_pair,
     star,
 )
-from .pipeline2 import Case, Pipeline2Certificate, Pipeline2Failure, case_of, construct2
+from .pipeline2 import Case, Pipeline2Certificate, case_of, construct2
 from .pipeline_r import (
     FamilySystem,
     PipelineRCertificate,
-    PipelineRFailure,
     check_levels,
     construct_r,
     layout_families,

@@ -20,7 +20,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .deltasys import SupportAssignment, check_cl3, check_cl4, generate_canonical
-from .oracle import UnsoundCertificate, check_points, make_oracle
+from .oracle import PipelineFailure, UnsoundCertificate, check_points, make_oracle
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import HomogeneousSet, brute_homogeneous, greedy_end_homogeneous
@@ -64,6 +64,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _emit_certificate(result, config: dict, out: str | None) -> int:
+    """Emit a pipeline certificate with its config, or report the failure."""
+    if isinstance(result, PipelineFailure):
+        return _fail(
+            f"no witness family: {result.reason} "
+            f"(exhaustive={result.exhaustive}, stage={result.stage})",
+            EXIT_NOT_FOUND,
+        )
+    _emit({**result.to_payload(), "config": config}, out)
+    return EXIT_OK
+
+
 def cmd_construct2(args) -> int:
     descriptor = resolve_descriptor(args.oracle, args.seed)
     config = {
@@ -77,16 +89,7 @@ def cmd_construct2(args) -> int:
     }
     oracle = make_oracle(descriptor, 2)
     result = construct2(oracle, args.n, args.m, budget=args.budget)
-    if not isinstance(result, Pipeline2Certificate):
-        return _fail(
-            f"no witness family: {result.reason} "
-            f"(exhaustive={result.exhaustive}, stage={result.stage})",
-            EXIT_NOT_FOUND,
-        )
-    payload = result.to_payload()
-    payload["config"] = config
-    _emit(payload, args.out)
-    return EXIT_OK
+    return _emit_certificate(result, config, args.out)
 
 
 def cmd_construct_r(args) -> int:
@@ -105,14 +108,7 @@ def cmd_construct_r(args) -> int:
     result = construct_r(
         oracle, args.r, args.n, args.m, count=args.count, shrink_size=args.shrink_size
     )
-    if not isinstance(result, PipelineRCertificate):
-        return _fail(
-            f"no witness family: {result.reason} (stage={result.stage})", EXIT_NOT_FOUND
-        )
-    payload = result.to_payload()
-    payload["config"] = config
-    _emit(payload, args.out)
-    return EXIT_OK
+    return _emit_certificate(result, config, args.out)
 
 
 def cmd_ramsey(args) -> int:

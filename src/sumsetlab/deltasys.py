@@ -140,9 +140,6 @@ class SupportAssignment:
         }
         return cls(E=tuple(payload["E"]), d=int(payload["d"]), W=table)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
-
     @classmethod
     def loads(cls, text: str) -> "SupportAssignment":
         return cls.from_payload(json.loads(text))

@@ -14,11 +14,11 @@ query recomputes its answer.  The pipelines color index tuples, not
 vectors, and the only cache is TupleColoring's, keyed by index tuple.
 derived is the single place where a level tuple becomes a vector.
 
-verify_witness is the soundness gate shared by both construction pipelines:
-given a finite witness set X it evaluates the oracle on every pairwise sum
-(doubles included) and either certifies a single color or names two sums
-that disagree.  recheck_witness, its counterpart for stored certificates,
-raises UnsoundCertificate when a stored X or sum table does not re-check.
+verify_witness colors every pairwise sum of a witness set X (doubles
+included) and certifies one color or names two sums that disagree.
+certified_witness, which also demands the claimed color, is the soundness
+gate of both pipelines and of the certificate re-checks.  PipelineFailure
+is what either pipeline returns when it comes up empty.
 """
 
 from __future__ import annotations
@@ -291,6 +291,35 @@ class UnsoundCertificate(Exception):
     """A well-formed certificate whose claim does not survive a re-check."""
 
 
+def certified_witness(
+    oracle: ColoringOracle, xs: Iterable[QVec], color: int
+) -> WitnessCertificate:
+    """verify_witness, held to a claimed sum color.
+
+    Raises UnsoundCertificate when two sums disagree or when their single
+    color is not the claimed one.
+    """
+    outcome = verify_witness(oracle, xs)
+    if not isinstance(outcome, WitnessCertificate):
+        raise UnsoundCertificate(outcome.describe())
+    if outcome.color != color:
+        raise UnsoundCertificate(f"sum color {outcome.color} is not the claimed {color}")
+    return outcome
+
+
+@dataclass(frozen=True)
+class PipelineFailure:
+    """A pipeline stage that came up empty; exhaustive is False when a
+    budget cut its search off, so that no witness may still exist."""
+
+    stage: str
+    reason: str
+    exhaustive: bool
+    level: int | None = None
+    round: int | None = None
+    family: int | None = None
+
+
 def check_points(points: Iterable[int], n: int) -> None:
     """Raise ValueError unless every point is an int in range(n)."""
     for p in points:
@@ -301,19 +330,14 @@ def check_points(points: Iterable[int], n: int) -> None:
 def recheck_witness(oracle: ColoringOracle, xs: Sequence[QVec], payload: dict, color: int) -> None:
     """Re-check a stored witness against X rebuilt from the certificate.
 
-    The stored X must equal the rebuilt one, every sum is colored afresh
-    and must match the stored table, and the single sum color must be the
-    claimed one.  An empty stored X is malformed (ValueError); any other
+    The stored X must equal the rebuilt one, certified_witness must accept
+    it with the claimed color, and the fresh sum table must match the
+    stored one.  An empty stored X is malformed (ValueError); any other
     mismatch raises UnsoundCertificate.
     """
     if not payload["X"]:
         raise ValueError("the witness set X is empty")
     if sorted(x.serialize() for x in xs) != payload["X"]:
         raise UnsoundCertificate("stored X differs from the one rebuilt from the certificate")
-    outcome = verify_witness(oracle, xs)
-    if not isinstance(outcome, WitnessCertificate):
-        raise UnsoundCertificate(outcome.describe())
-    if outcome.sums_payload() != payload["sums"]:
+    if certified_witness(oracle, xs, color).sums_payload() != payload["sums"]:
         raise UnsoundCertificate("stored sum table differs from a fresh evaluation")
-    if outcome.color != color:
-        raise UnsoundCertificate(f"sum color {outcome.color} is not the claimed {color}")

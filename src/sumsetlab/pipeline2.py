@@ -13,11 +13,12 @@ each coincidence admits an explicit halved-pattern witness family:
 
 Each case only lays out its frames; halved_family asserts that doubles and
 pairwise sums (on the union of two frames) land back on whole-pattern
-vectors covered by the matched pair of constants, and verify_witness then
-re-colors every sum from scratch.  Note the CASE3 string is s_1, the
-length-3 string (2, 2, 4): halving it doubles back to s_1 itself on the
-same three indices, while cross sums fill out s_2 on four indices.
-Pipeline2Certificate.recheck re-checks the written certificate.
+vectors covered by the matched pair of constants, and certified_witness
+then re-colors every sum from scratch and holds it to that constant.
+Note the CASE3 string is s_1, the length-3 string (2, 2, 4): halving it
+doubles back to s_1 itself on the same three indices, while cross sums
+fill out s_2 on four indices.  Pipeline2Certificate.recheck re-checks
+the written certificate; a failed homogenization is an oracle.PipelineFailure.
 
 Each d_l is a TupleColoring over oracle.derived, the single place where a
 level tuple becomes a vector; its index-tuple memo is the only cache.
@@ -30,13 +31,14 @@ from dataclasses import dataclass
 
 from .oracle import (
     ColoringOracle,
+    PipelineFailure,
     UnsoundCertificate,
     WitnessCertificate,
+    certified_witness,
     check_points,
     derived,
     make_oracle,
     recheck_witness,
-    verify_witness,
 )
 from .pattern import IndexFamily, halved_family, pigeonhole_pair
 from .qvec import QVec
@@ -109,14 +111,6 @@ class Pipeline2Certificate:
         recheck_witness(oracle, xs, payload, rho[CASE_LEVELS[case][0]])
 
 
-@dataclass(frozen=True)
-class Pipeline2Failure:
-    stage: str
-    reason: str
-    exhaustive: bool
-    level: int | None = None
-
-
 def derived_tuple_colorings(oracle: ColoringOracle, universe: int) -> list[TupleColoring]:
     """The r + 1 derived colorings d_0 .. d_r as tuple colorings over range(universe)."""
     return [
@@ -145,7 +139,7 @@ def _case_witnesses(case: Case, members: tuple[int, ...], top: int, m: int) -> l
 def construct2(oracle: ColoringOracle, n: int, m: int, budget: int | None = None):
     """Run the full two-color pipeline over the universe range(n).
 
-    Returns a Pipeline2Certificate, or a Pipeline2Failure whose exhaustive
+    Returns a Pipeline2Certificate, or a PipelineFailure whose exhaustive
     flag tells whether the homogenization failure was a complete scan.
     """
     if oracle.r != 2:
@@ -157,7 +151,7 @@ def construct2(oracle: ColoringOracle, n: int, m: int, budget: int | None = None
     colorings = derived_tuple_colorings(oracle, n)
     found = multi_homogeneous(colorings, m, budget=budget)
     if isinstance(found, NoHomogeneousSet):
-        return Pipeline2Failure(
+        return PipelineFailure(
             stage="homogenize",
             reason=found.reason,
             exhaustive=found.exhaustive,
@@ -167,15 +161,7 @@ def construct2(oracle: ColoringOracle, n: int, m: int, budget: int | None = None
     rho = found.colors
     case = case_of(*rho)
     xs = _case_witnesses(case, found.members, found.top, m)
-    outcome = verify_witness(oracle, xs)
-    if not isinstance(outcome, WitnessCertificate):
-        raise RuntimeError(
-            f"witness family failed re-verification after homogenization: {outcome.describe()}"
-        )
-    if outcome.color != rho[CASE_LEVELS[case][0]]:
-        raise RuntimeError(
-            f"witness color {outcome.color} disagrees with the matched constants {rho}"
-        )
+    witness = certified_witness(oracle, xs, rho[CASE_LEVELS[case][0]])
     return Pipeline2Certificate(
-        case=case, members=found.members, top=found.top, rho=rho, witness=outcome
+        case=case, members=found.members, top=found.top, rho=rho, witness=witness
     )

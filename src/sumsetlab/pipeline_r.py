@@ -22,8 +22,11 @@ levels l' < l, and make_witness_tuples lays out the witness frames: the
 halved level-l' pattern on a_i doubles back onto a level-l' tuple while
 cross sums fill a level-l tuple, so every pairwise sum is colored by the
 shared constant.  halved_family asserts these identities, and
-verify_witness re-colors every sum before a certificate is issued;
-PipelineRCertificate.recheck re-checks the written certificate.
+certified_witness re-colors every sum and holds it to that constant
+before a certificate is issued; PipelineRCertificate.recheck re-checks
+the written certificate.  A stage that comes up empty returns an
+oracle.PipelineFailure; only last_step's scan can be cut off by ramsey's
+budget (exhaustive=False).
 
 Every level tuple is colored through oracle.derived, the single place
 where a level tuple becomes a vector.
@@ -31,20 +34,21 @@ where a level tuple becomes a vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import inf
 from typing import Iterator, Sequence
 
 from .oracle import (
     ColoringOracle,
+    PipelineFailure,
     UnsoundCertificate,
     WitnessCertificate,
+    certified_witness,
     check_points,
     derived,
     make_oracle,
     recheck_witness,
-    verify_witness,
 )
 from .pattern import (
     TOP,
@@ -292,12 +296,6 @@ def verify_saturation(oracle: ColoringOracle, sys: FamilySystem):
     return None
 
 
-@dataclass(frozen=True)
-class ReplacementFailure:
-    reason: str
-    candidates_tried: int
-
-
 def replacement_search(
     oracle: ColoringOracle,
     sys: FamilySystem,
@@ -305,7 +303,7 @@ def replacement_search(
     pools: Sequence[Sequence[int]],
     lower: int,
     colors: dict[tuple[int, ...], int] | None = None,
-) -> int | ReplacementFailure:
+) -> int | PipelineFailure:
     """Least member position of family j that can stand in for its top.
 
     pools are iter_canonical_tuples pools: ascending member positions, with
@@ -313,7 +311,9 @@ def replacement_search(
     strictly above both lower and every position in the family's own pool.
     A candidate is accepted when, for every level l and every l-canonical
     tuple drawn from the pools that contains family j's top, trading the
-    top for the candidate leaves the tuple's color unchanged.
+    top for the candidate leaves the tuple's color unchanged.  When no
+    candidate is accepted the result is an exhaustive shrink failure
+    whose reason counts the candidates tried.
 
     colors maps the entries of tuples with the top in place to their
     color.  It is read before the oracle is asked and filled after, so a
@@ -337,9 +337,7 @@ def replacement_search(
         for l, entries in constraints:
             if entries not in colors:
                 colors[entries] = derived(oracle, l, entries)
-    tried = 0
     for candidate in candidates:
-        tried += 1
         member = family.members[candidate]
         if all(
             colors[entries]
@@ -347,20 +345,13 @@ def replacement_search(
             for l, entries in constraints
         ):
             return candidate
-    return ReplacementFailure(
+    return PipelineFailure(
+        stage="shrink",
         reason=f"no position above {floor} in family {j} preserves all "
-        f"{len(constraints)} tuple colors",
-        candidates_tried=tried,
+        f"{len(constraints)} tuple colors ({len(candidates)} tried)",
+        exhaustive=True,
+        family=j,
     )
-
-
-@dataclass(frozen=True)
-class PipelineRFailure:
-    stage: str
-    reason: str
-    round: int | None = None
-    family: int | None = None
-    level: int | None = None
 
 
 def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
@@ -370,9 +361,10 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
     position chosen so far in any family, so the per-family position
     sequences interleave globally and each pool stays ascending.  The
     resulting system is exhaustively re-verified against the saturation law
-    before being returned.  Pools only grow, so most tuples with a top in
-    place recur from one search to the next; one map of their colors
-    serves every search of the call, and each is colored once.
+    before being returned; a failed pick returns its PipelineFailure with
+    the round added.  Pools only grow, so most tuples with a top in place
+    recur from one search to the next; one map of their colors serves
+    every search of the call, and each is colored once.
     """
     if target < 1 or target > sys.member_count:
         raise ValueError(f"cannot shrink to {target} members from {sys.member_count}")
@@ -382,13 +374,8 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
     for round_number in range(target):
         for family in range(sys.r):
             picked = replacement_search(oracle, sys, family, pools, lower, colors)
-            if isinstance(picked, ReplacementFailure):
-                return PipelineRFailure(
-                    stage="shrink",
-                    reason=picked.reason,
-                    round=round_number,
-                    family=family,
-                )
+            if isinstance(picked, PipelineFailure):
+                return replace(picked, round=round_number)
             pools[family].append(picked)
             lower = picked
     families = tuple(
@@ -414,7 +401,8 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
     sits at the top elsewhere.  Surviving position sets are nested: when a
     level is not already constant, a monochromatic subset of final_size
     positions is extracted by brute force.  Returns the trimmed system with
-    rho attached, re-verified by check_levels.
+    rho attached, re-verified by check_levels, or a PipelineFailure that
+    is not exhaustive when ramsey's budget cut the brute-force scan off.
     """
     if final_size < 1 or final_size > sys.member_count:
         raise ValueError(f"final size {final_size} out of range")
@@ -433,9 +421,10 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
             continue
         found = brute_homogeneous(g, final_size, points=positions)
         if not isinstance(found, HomogeneousSet):
-            return PipelineRFailure(
+            return PipelineFailure(
                 stage="last_step",
                 reason=f"no monochromatic position set of size {final_size} at level {l}",
+                exhaustive=found.exhaustive,
                 level=l,
             )
         positions = list(found.members)
@@ -561,7 +550,7 @@ def construct_r(
 
     A system already constant at every level is trimmed and used as is;
     otherwise shrink and last_step run.  Returns a PipelineRCertificate or
-    a PipelineRFailure tagged with the failing stage.
+    a PipelineFailure tagged with the failing stage.
     """
     if oracle.r != r:
         raise ValueError(f"oracle has r={oracle.r}, requested r={r}")
@@ -569,9 +558,10 @@ def construct_r(
         raise ValueError(f"need m >= max(r, 1) so every level is inhabited, got m={m}")
     sys0 = system_from_universe(r, n)
     if sys0.member_count < m:
-        return PipelineRFailure(
+        return PipelineFailure(
             stage="layout",
             reason=f"universe {n} only affords {sys0.member_count} members per family, need {m}",
+            exhaustive=True,
         )
     report = check_levels(oracle, sys0)
     if report.all_constant:
@@ -579,37 +569,30 @@ def construct_r(
     else:
         target = shrink_size if shrink_size is not None else sys0.member_count // r
         if target < m:
-            return PipelineRFailure(
+            return PipelineFailure(
                 stage="shrink",
                 reason=f"initial member count {sys0.member_count} cannot interleave "
                 f"{r} families down to {m} members each",
+                exhaustive=True,
             )
         shrunk = shrink(oracle, sys0, target)
-        if isinstance(shrunk, PipelineRFailure):
+        if isinstance(shrunk, PipelineFailure):
             return shrunk
-        stepped = last_step(oracle, shrunk, m)
-        if isinstance(stepped, PipelineRFailure):
-            return stepped
-        ready = stepped
+        ready = last_step(oracle, shrunk, m)
+        if isinstance(ready, PipelineFailure):
+            return ready
     rho = ready.rho
     l_prime, l = pigeonhole_pair(rho)
     max_count = (m - l) // (l - l_prime) + 1
     chosen = max_count if count is None else count
     if not 1 <= chosen <= max_count:
-        return PipelineRFailure(
+        return PipelineFailure(
             stage="witness",
             reason=f"count {chosen} infeasible for l'={l_prime}, l={l}, m={m} (max {max_count})",
+            exhaustive=True,
         )
     xs, _, _ = witness_vectors(ready, l_prime, l, chosen)
-    outcome = verify_witness(oracle, xs)
-    if not isinstance(outcome, WitnessCertificate):
-        raise RuntimeError(
-            f"witness family failed re-verification after homogenization: {outcome.describe()}"
-        )
-    if outcome.color != rho[l]:
-        raise RuntimeError(
-            f"witness color {outcome.color} disagrees with the level constants {rho}"
-        )
+    witness = certified_witness(oracle, xs, rho[l])
     return PipelineRCertificate(
-        families=ready, rho_levels=rho, l_prime=l_prime, l=l, witness=outcome
+        families=ready, rho_levels=rho, l_prime=l_prime, l=l, witness=witness
     )

@@ -493,14 +493,23 @@ class _ScanCheckpoint:
                 raise ValueError(
                     f"checkpoint {self.path} was written for config {loaded.get('config')}"
                 )
-            # The in-flight task indices mean something only under the task
-            # list they were written with.
             in_flight = loaded.get("in_flight")
-            if in_flight is not None and in_flight.get("tasks") != _task_list(r, in_flight["M"]):
-                raise ValueError(
-                    f"checkpoint {self.path} splits M={in_flight['M']} into "
-                    f"tasks {in_flight.get('tasks')}, not {_task_list(r, in_flight['M'])}"
-                )
+            if in_flight is not None:
+                # Task indices mean something only under the task list they
+                # were written with, and tasks run in order: 0..task-1 are done.
+                tasks = _task_list(r, in_flight["M"])
+                if in_flight.get("tasks") != tasks:
+                    raise ValueError(
+                        f"checkpoint {self.path} splits M={in_flight['M']} into "
+                        f"tasks {in_flight.get('tasks')}, not {tasks}"
+                    )
+                task = in_flight["task"]
+                done = [entry["task"] for entry in in_flight["tasks_done"]]
+                if done != list(range(len(done))) or task != len(done) or task >= len(tasks):
+                    raise ValueError(
+                        f"checkpoint {self.path} is inside task {task!r} of {len(tasks)} "
+                        f"with tasks {done} done"
+                    )
             self.state = loaded
 
     def completed_records(self) -> list[ThresholdRecord]:
@@ -547,25 +556,20 @@ class _ScanCheckpoint:
         if self.path is None:
             return None
         in_flight = self.state.get("in_flight")
-        done: dict[int, tuple] = {}
+        tasks_done: list[dict] = []
         resume_task = None
         resume_prefix = None
         if in_flight is not None and in_flight["M"] == M:
-            done = {
-                entry["task"]: (entry["exhausted"], entry["nodes"])
-                for entry in in_flight["tasks_done"]
-            }
+            # Checked on load: the tasks 0..task-1, in order.
+            tasks_done = list(in_flight["tasks_done"])
             resume_task = in_flight["task"]
             resume_prefix = tuple(in_flight["prefix"])
-        tasks_done: list[dict] = [
-            {"task": t, "exhausted": e, "nodes": n} for t, (e, n) in sorted(done.items())
-        ]
         task_list = _task_list(self.config["r"], M)
 
         def hook(index: int, prefix: tuple[int, ...]) -> BadSearch:
-            if index in done:
-                exhausted, nodes = done[index]
-                return BadSearch(coloring=None, exhausted=exhausted, nodes=nodes)
+            if resume_task is not None and index < resume_task:
+                done = tasks_done[index]
+                return BadSearch(coloring=None, exhausted=done["exhausted"], nodes=done["nodes"])
 
             def save(dfs_prefix: tuple[int, ...], nodes: int) -> None:
                 self.state["in_flight"] = {

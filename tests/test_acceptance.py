@@ -17,7 +17,7 @@ from itertools import combinations, product
 from conftest import PositionCutOracle, profile_oracle, support_of, with_support
 from sumsetlab.cli import EXIT_OK, main
 from sumsetlab.deltasys import check_cl3, check_cl4, generate_canonical
-from sumsetlab.oracle import make_oracle
+from sumsetlab.oracle import PipelineFailure, make_oracle
 from sumsetlab.pattern import (
     TOP,
     canonical_tuple,
@@ -26,7 +26,7 @@ from sumsetlab.pattern import (
     make_string,
     star,
 )
-from sumsetlab.pipeline2 import Case, Pipeline2Failure, case_of, construct2
+from sumsetlab.pipeline2 import Case, case_of, construct2
 from sumsetlab.pipeline_r import (
     construct_r,
     iter_canonical_tuples,
@@ -122,7 +122,7 @@ def test_criterion_3_two_color_pipeline():
     certified = 0
     for name in names:
         cert = construct2(make_oracle(name, 2), 12, 4)
-        if isinstance(cert, Pipeline2Failure):
+        if isinstance(cert, PipelineFailure):
             assert cert.exhaustive, f"{name}: non-exhaustive failure"
             continue
         xs = list(cert.witness.vectors)

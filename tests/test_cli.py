@@ -149,6 +149,16 @@ def test_construct_r_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_construct_r_not_found_leaves_no_output(tmp_path, capsys):
+    # Blocks of 5 afford 3 members per family, fewer than m = 6.
+    cert = tmp_path / "cr.json"
+    code = main(["construct-r", "--oracle", "constant:1", "--r", "3", "--n", "15", "--m", "6",
+                 "--out", str(cert)])
+    assert code == EXIT_NOT_FOUND
+    assert "(exhaustive=True, stage=layout)" in capsys.readouterr().err
+    assert not cert.exists()
+
+
 # ---------------------------------------------------------------------------
 # ramsey
 

@@ -9,6 +9,7 @@ CL4 exposes it.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -159,7 +160,7 @@ def test_assignment_validation():
 
 def test_serialization_round_trip():
     g = small_instance()
-    assert SupportAssignment.loads(g.dumps()) == g
+    assert SupportAssignment.loads(json.dumps(g.to_payload())) == g
     payload = g.to_payload()
     assert isinstance(payload["W"], list)
     assert payload["E"] == [0, 2, 5, 6]

@@ -20,8 +20,10 @@ from sumsetlab.oracle import (
     SeededHashOracle,
     SupportSizeOracle,
     UnmappedVector,
+    UnsoundCertificate,
     WitnessCertificate,
     WitnessFailure,
+    certified_witness,
     derived,
     fnv1a64,
     level_pattern_table,
@@ -277,6 +279,18 @@ def test_verify_witness_reports_the_offending_pair():
 def test_verify_witness_rejects_empty_set():
     with pytest.raises(ValueError):
         verify_witness(ConstantOracle(2), [])
+
+
+def test_certified_witness_holds_the_sums_to_the_claimed_color():
+    xs = [QVec({0: 2}), QVec({1: 2})]
+    assert certified_witness(ConstantOracle(2, 1), xs, 1) == verify_witness(
+        ConstantOracle(2, 1), xs
+    )
+    # support-size colors the doubles 0 and the cross sum 1.
+    with pytest.raises(UnsoundCertificate, match="has color"):
+        certified_witness(SupportSizeOracle(2), xs, 1)
+    with pytest.raises(UnsoundCertificate, match="sum color 1 is not the claimed 0"):
+        certified_witness(ConstantOracle(2, 1), xs, 0)
 
 
 def test_certificate_payload_is_serializable_rows():

@@ -8,6 +8,7 @@ from conftest import ContainsFourOracle, profile_oracle
 from sumsetlab.oracle import (
     ConstantOracle,
     FourCountOracle,
+    PipelineFailure,
     SeededHashOracle,
     SupportSizeOracle,
     make_oracle,
@@ -18,7 +19,6 @@ from sumsetlab.pattern import make_string, star
 from sumsetlab.pipeline2 import (
     Case,
     Pipeline2Certificate,
-    Pipeline2Failure,
     _case_witnesses,
     case_of,
     construct2,
@@ -140,7 +140,7 @@ def test_case_choice_is_stable_as_m_grows():
 
 def test_failure_when_universe_cannot_homogenize():
     outcome = construct2(SeededHashOracle(2, 1), 5, 4)
-    assert isinstance(outcome, Pipeline2Failure)
+    assert isinstance(outcome, PipelineFailure)
     assert outcome.stage == "homogenize"
     assert outcome.exhaustive
 

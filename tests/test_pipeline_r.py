@@ -16,8 +16,14 @@ from itertools import product
 import pytest
 
 from conftest import PositionCutOracle, PrimedTopOracle, profile_oracle
-from sumsetlab import pipeline_r
-from sumsetlab.oracle import WitnessCertificate, derived, make_oracle, verify_witness
+from sumsetlab import pipeline_r, ramsey
+from sumsetlab.oracle import (
+    PipelineFailure,
+    WitnessCertificate,
+    derived,
+    make_oracle,
+    verify_witness,
+)
 from sumsetlab.pattern import (
     TOP,
     IndexFamily,
@@ -32,8 +38,6 @@ from sumsetlab.pipeline2 import Pipeline2Certificate, construct2
 from sumsetlab.pipeline_r import (
     FamilySystem,
     PipelineRCertificate,
-    PipelineRFailure,
-    ReplacementFailure,
     check_levels,
     construct_r,
     iter_canonical_tuples,
@@ -371,9 +375,10 @@ def test_replacement_failure_reports_candidates_tried():
     sys0 = layout_families(2, 4)
     oracle = PrimedTopOracle(2, sys0)
     outcome = replacement_search(oracle, sys0, 0, [[0], []], 0)
-    assert isinstance(outcome, ReplacementFailure)
-    assert outcome.candidates_tried == 3
+    assert isinstance(outcome, PipelineFailure)
+    assert "(3 tried)" in outcome.reason
     assert "family 0" in outcome.reason
+    assert (outcome.stage, outcome.family, outcome.exhaustive) == ("shrink", 0, True)
 
 
 def test_replacement_validates_inputs():
@@ -449,7 +454,7 @@ def test_shrink_failure_identifies_round_and_family():
     sys0 = system_from_universe(3, 45)
     oracle = PrimedTopOracle(3, sys0)
     outcome = shrink(oracle, sys0, 4)
-    assert isinstance(outcome, PipelineRFailure)
+    assert isinstance(outcome, PipelineFailure)
     assert outcome.stage == "shrink"
     assert outcome.round == 1
     assert outcome.family == 0
@@ -476,9 +481,24 @@ def test_last_step_failure_when_no_level_set_survives():
     sys0 = layout_families(3, 4)
     oracle = PositionCutOracle(3, sys0, cut=2)
     outcome = last_step(oracle, sys0, 3)
-    assert isinstance(outcome, PipelineRFailure)
+    assert isinstance(outcome, PipelineFailure)
     assert outcome.stage == "last_step"
     assert outcome.level == 1
+
+
+def test_last_step_failure_says_whether_its_scan_was_complete(monkeypatch):
+    sys0 = layout_families(3, 4)
+    outcome = last_step(PositionCutOracle(3, sys0, cut=2), sys0, 3)
+    assert isinstance(outcome, PipelineFailure)
+    assert (outcome.stage, outcome.level, outcome.exhaustive) == ("last_step", 1, True)
+    # With ramsey's implicit cap forced to zero subsets, even the cut-3
+    # case that succeeds above stops at level 1, and must not claim a
+    # complete scan.
+    monkeypatch.setattr(ramsey, "FULL_SCAN_ARITY", -1)
+    monkeypatch.setattr(ramsey, "TRUNCATED_BUDGET", 0)
+    outcome = last_step(PositionCutOracle(3, sys0, cut=3), sys0, 3)
+    assert isinstance(outcome, PipelineFailure)
+    assert (outcome.stage, outcome.level, outcome.exhaustive) == ("last_step", 1, False)
 
 
 def test_last_step_size_validation():
@@ -604,7 +624,7 @@ def test_construct_r_shrink_failure_propagates():
     sys0 = system_from_universe(3, 45)
     oracle = PrimedTopOracle(3, sys0)
     outcome = construct_r(oracle, 3, 45, 3)
-    assert isinstance(outcome, PipelineRFailure)
+    assert isinstance(outcome, PipelineFailure)
     assert (outcome.stage, outcome.round, outcome.family) == ("shrink", 1, 0)
 
 
@@ -657,7 +677,7 @@ def test_construct_r_explicit_count():
     assert isinstance(cert, PipelineRCertificate)
     assert len(cert.witness.vectors) == 1
     outcome = construct_r(oracle, 2, 12, 4, count=3)
-    assert isinstance(outcome, PipelineRFailure)
+    assert isinstance(outcome, PipelineFailure)
     assert outcome.stage == "witness"
 
 
@@ -687,5 +707,5 @@ def test_construct_r_input_validation():
     with pytest.raises(ValueError):
         construct_r(oracle, 2, 30, 1)  # m below r leaves a level uninhabited
     outcome = construct_r(oracle, 2, 8, 3)  # blocks of 4 afford only 2 members
-    assert isinstance(outcome, PipelineRFailure)
+    assert isinstance(outcome, PipelineFailure)
     assert outcome.stage == "layout"

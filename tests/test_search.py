@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import time
 from itertools import combinations, product
 
@@ -288,6 +289,17 @@ def test_threshold_scan_triple_sumsets_force_at_46():
         assert has_mono_sumset(rec.witness, 3) is None
 
 
+@pytest.mark.slow
+def test_threshold_scan_pair_sumsets_in_three_colors_force_at_50():
+    # The least FORCED universe for (k, r) = (2, 3): about 9.8M DFS nodes
+    # at M = 50, so it runs only under -m slow.
+    records = threshold_scan(2, 3, 50)
+    assert [rec.verdict for rec in records] == [ESCAPABLE] * 49 + [FORCED]
+    assert all(rec.M == i for i, rec in enumerate(records, start=1))
+    for rec in records[:-1]:
+        assert has_mono_sumset(rec.witness, 2) is None
+
+
 def test_threshold_scan_singletons():
     records = threshold_scan(1, 2, 4)
     assert [rec.verdict for rec in records] == [ESCAPABLE, FORCED, FORCED, FORCED]
@@ -443,9 +455,9 @@ def test_checkpoint_rejects_a_stored_forced_row_below_an_escapable_one(tmp_path)
         threshold_scan(2, 2, 5, checkpoint_path=path)
 
 
-def test_checkpoint_crash_resume(tmp_path, monkeypatch):
-    baseline = threshold_scan(2, 2, 12)
-    path = tmp_path / "scan.json"
+def crash_inside_m12(path, monkeypatch) -> dict:
+    """Run the (2, 2) scan to M = 12 with a checkpoint every 5 nodes, crash
+    at the 26th checkpoint write, and return the checkpoint left behind."""
     real_write = _ScanCheckpoint._write
     writes = {"n": 0}
 
@@ -459,11 +471,17 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="simulated crash"):
         threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
     monkeypatch.setattr(_ScanCheckpoint, "_write", real_write)
+    return json.loads(path.read_text())
+
+
+def test_checkpoint_crash_resume(tmp_path, monkeypatch):
+    baseline = threshold_scan(2, 2, 12)
+    path = tmp_path / "scan.json"
+    snapshot = crash_inside_m12(path, monkeypatch)
 
     # The crash lands in the second task of M = 12, after the first one
     # was exhausted, so resuming must skip a finished task and fast-forward
     # inside the next one.
-    snapshot = json.loads(path.read_text())
     assert len(snapshot["records"]) == 11
     in_flight = snapshot["in_flight"]
     assert in_flight["M"] == 12 and in_flight["task"] == 1
@@ -474,6 +492,33 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     resumed = threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
     assert resumed == baseline
     assert [rec.witness for rec in resumed] == [rec.witness for rec in baseline]
+
+
+def test_checkpoint_rejects_in_flight_bookkeeping_the_writer_never_stores(tmp_path, monkeypatch):
+    # The writer stores tasks_done = [task 0] while inside task 1 of four.
+    path = tmp_path / "scan.json"
+    snapshot = crash_inside_m12(path, monkeypatch)
+    assert snapshot["in_flight"]["task"] == 1
+
+    def entry(task):
+        return {"task": task, "exhausted": True, "nodes": 15}
+
+    tampered = [
+        (1, []),  # task 0 would be run again
+        (1, [entry(0), entry(1)]),  # the in-flight task would be skipped
+        (1, [entry(0), entry(0)]),
+        (1, [entry(0), entry(3)]),  # task 3 would be skipped
+        (1, [entry(0), entry(9)]),  # there is no task 9
+        (4, [entry(t) for t in range(4)]),  # there are only four tasks
+        (-1, []),
+    ]
+    for task, done in tampered:
+        state = json.loads(json.dumps(snapshot))
+        state["in_flight"].update(task=task, tasks_done=done)
+        path.write_text(json.dumps(state))
+        message = re.escape(f"checkpoint {path} is inside task {task} of 4")
+        with pytest.raises(ValueError, match=message):
+            threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
 
 
 def test_monotonicity_guard_aborts(tmp_path):
