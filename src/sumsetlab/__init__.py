@@ -32,7 +32,6 @@ from .oracle import (
     WitnessFailure,
     certified_witness,
     derived,
-    level_pattern_table,
     make_oracle,
     verify_witness,
 )

@@ -216,27 +216,11 @@ def make_oracle(descriptor: str, r: int) -> ColoringOracle:
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
-def level_pattern_table(r: int, profile: Sequence[int]) -> dict[str, int]:
-    """Table mapping the squashed level-l star pattern to profile[l], l <= r.
-
-    Wrapped in an OrderInvariantOracle this realizes any prescribed vector
-    of level colors, which is how the general pipeline is exercised against
-    arbitrary pigeonhole situations.
-    """
-    if len(profile) != r + 1:
-        raise ValueError(f"profile must list {r + 1} colors, got {len(profile)}")
-    table = {}
-    for l, color in enumerate(profile):
-        s = make_string(r, l)
-        table[star(s, range(len(s))).serialize()] = color
-        table[star(s, range(len(s))).scale("1/2").serialize()] = color
-    return table
-
-
 def derived(oracle: ColoringOracle, l: int, indices: Sequence[int]) -> int:
     """d_l: color of the level-l pattern placed on the given index set.
 
-    star rejects an index set whose length is not r + l.
+    make_string rejects an l outside [0, r] and star an index set whose
+    length is not r + l.
     """
     return oracle.color(star(make_string(oracle.r, l), indices))
 

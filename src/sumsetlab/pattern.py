@@ -7,11 +7,12 @@ operation) produces a QVec, and these vectors are exactly the shapes taken
 by doubles and pairwise sums of the witness vectors built downstream.
 Every level tuple the pipelines color becomes a vector through star, so
 star is kept cheap: make_string returns one cached PatternString per
-(r, l) whose values are checked once, and star checks only the indices of
-a pattern before building through QVec's trusted constructor.  Level
-tuples arrive with strictly increasing indices, so star first tries a
-single pass that accepts exactly such input; anything else goes through
-the full distinctness, length and naturality checks.
+(r, l), and (r, l) and the values are checked once, when it is built;
+star checks only the indices of a pattern before building through QVec's
+trusted constructor.  Level tuples arrive with strictly increasing
+indices, so star first tries a single pass that accepts exactly such
+input; anything else goes through the full distinctness, length and
+naturality checks.
 
 Index families model r disjoint blocks of coordinates, each with finitely
 many members plus one distinguished top.  Positions inside a family are
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .qvec import QVec, RationalLike
@@ -113,17 +114,19 @@ class PatternString:
         return self.values[k]
 
 
+# typed: a float such as 1.0 hashes like 1 and would otherwise hit the
+# cached string for 1 instead of being rejected.
+@lru_cache(maxsize=None, typed=True)
 def make_string(r: int, l: int) -> PatternString:
-    """Build s_l for the given r: 2l twos followed by r - l fours."""
+    """Build s_l for the given r: 2l twos followed by r - l fours.
+
+    Cached per (r, l), so r and l are checked on the first call only; an
+    invalid pair is never cached and raises ValueError on every call.
+    """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
     if not isinstance(l, int) or l < 0 or l > r:
         raise ValueError(f"l must lie in [0, {r}], got {l!r}")
-    return _pattern_string(r, l)
-
-
-@cache
-def _pattern_string(r: int, l: int) -> PatternString:
     return PatternString(r=r, l=l, values=(2,) * (2 * l) + (4,) * (r - l))
 
 
@@ -245,29 +248,30 @@ class CanonicalTuple:
     """Level-l tuple: a pair from each of the first l families, singles after.
 
     ``index`` holds the unprimed positions (one per family), ``primed`` the
-    primed positions of the paired blocks, and ``blocks`` the resolved
-    coordinate indices, one tuple per family in family order.
+    primed positions of the paired blocks, and ``entries`` the resolved
+    coordinate indices in family order: the unprimed and primed index of
+    each of the first l families, then one index per later family.
+    ``entries`` is the only stored copy of the coordinates; ``blocks``
+    regroups it per family.
     """
 
     l: int
     index: tuple[Position, ...]
     primed: tuple[Position, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
 
     @property
     def r(self) -> int:
         return len(self.index)
 
     @property
-    def entries(self) -> tuple[int, ...]:
-        flat: list[int] = []
-        for block in self.blocks:
-            flat.extend(block)
-        return tuple(flat)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        paired, e = 2 * self.l, self.entries
+        return (*zip(e[0:paired:2], e[1:paired:2]), *((x,) for x in e[paired:]))
 
     def render(self) -> str:
         parts = []
-        for k, block in enumerate(self.blocks):
+        for k in range(self.r):
             if k < self.l:
                 parts.append(f"{self.index[k]!r},{self.primed[k]!r}")
             else:
@@ -295,16 +299,16 @@ def canonical_tuple(
         raise ValueError(f"index vector must have length {r}, got {len(index)}")
     if len(primed) != l:
         raise ValueError(f"primed vector must have length {l}, got {len(primed)}")
-    blocks = []
+    entries = []
     for k, family in enumerate(families):
         if k < l:
             a, b = index[k], primed[k]
             if not a < b:
                 raise ValueError(f"block {k}: positions must satisfy {a!r} < {b!r}")
-            blocks.append((family.index_at(a), family.index_at(b)))
+            entries += (family.index_at(a), family.index_at(b))
         else:
-            blocks.append((family.index_at(index[k]),))
-    return CanonicalTuple(l=l, index=index, primed=primed, blocks=tuple(blocks))
+            entries.append(family.index_at(index[k]))
+    return CanonicalTuple(l=l, index=index, primed=primed, entries=tuple(entries))
 
 
 def is_index_strictly_increasing(t: Union[CanonicalTuple, Sequence[Position]]) -> bool:
@@ -332,12 +336,9 @@ def is_l_canonical(
         return False, "families do not occupy disjoint increasing ranges"
     if t.l != l:
         return False, f"tuple has level {t.l}, expected {l}"
-    if len(t.blocks) != r:
-        return False, f"tuple has {len(t.blocks)} blocks, expected {r}"
+    if len(t.entries) != r + l:
+        return False, f"tuple has {len(t.entries)} entries, expected {r + l}"
     for k, block in enumerate(t.blocks):
-        expected = 2 if k < l else 1
-        if len(block) != expected:
-            return False, f"block {k} has {len(block)} entries, expected {expected}"
         for entry in block:
             if entry not in families[k]:
                 return False, f"entry {entry} not in family {k}"

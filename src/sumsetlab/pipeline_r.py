@@ -5,7 +5,8 @@ layout A_i = {e at offset i*width + j : j >= 1} with the top at the block's
 last slot and the block's first slot left unused.  Level-l canonical tuples
 draw an ordered pair from each of the first l families and a single element
 from the rest; check_levels asks whether each derived coloring d_l is
-constant across every index-strictly-increasing canonical tuple.
+constant across every index-strictly-increasing canonical tuple, level
+by level, and its report ends at the first level that is not.
 
 When the initial system is not level-homogeneous, two reduction steps try
 to make it so.  shrink re-picks family members one at a time in round-robin
@@ -178,11 +179,15 @@ def iter_canonical_tuples(
             for rest in vectors(k + 1, above):
                 yield [choice, *rest]
 
+    partner_slots = slice(1, 2 * l, 2)
     for vector in vectors(0, -1):
         index = tuple(p for p, _ in vector)
         coords = [e for _, e in vector]
         bound = max((p for p in index if p is not TOP), default=-1)
-        singles = tuple((e,) for e in coords[l:])
+        # Each paired block's unprimed coordinate sits before the slot of its
+        # primed partner, which every tuple fills in; singles come last.
+        entries = [0] * (2 * l) + coords[l:]
+        entries[0 : 2 * l : 2] = coords[:l]
         primed_choices = [
             [tops[k]]
             if containing_top_of == k
@@ -193,14 +198,16 @@ def iter_canonical_tuples(
         primed_positions = product(*([p for p, _ in choices] for choices in primed_choices))
         primed_coords = product(*([e for _, e in choices] for choices in primed_choices))
         for primed, partners in zip(primed_positions, primed_coords):
-            yield CanonicalTuple(l, index, primed, (*zip(coords, partners), *singles))
+            entries[partner_slots] = partners
+            yield CanonicalTuple(l, index, primed, tuple(entries))
 
 
 @dataclass(frozen=True)
 class LevelReport:
     """One level of check_levels.  tuple_count is the number of tuples
     colored: the whole level when it is constant, otherwise up to and
-    including the counterexample's second tuple."""
+    including the counterexample's second tuple.  A level with no tuples
+    is not constant and has no counterexample."""
 
     level: int
     constant: bool
@@ -211,6 +218,10 @@ class LevelReport:
 
 @dataclass(frozen=True)
 class HomogeneityReport:
+    """The levels check_levels colored, from level 0 on.  Every level but
+    the last is constant; the report ends at the first level that is not,
+    so it lists all r + 1 levels exactly when all_constant holds."""
+
     levels: tuple[LevelReport, ...]
 
     @property
@@ -226,11 +237,14 @@ class HomogeneityReport:
 
 def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport:
     """Test each d_l for constancy across index-strictly-increasing
-    l-canonical tuples, in iter_canonical_tuples order.
+    l-canonical tuples, in iter_canonical_tuples order, from level 0 up.
 
     A level stops at its counterexample: the first tuple whose color
-    differs from the first tuple's.  Tuples after it are never colored, so
-    a strict table oracle need not map them.
+    differs from the first tuple's.  The check stops with it, so the
+    report ends at the first level that is not constant: tuples after the
+    counterexample and the levels above it are never colored, and a strict
+    table oracle need not map them.  When every level is constant, every
+    tuple of every level has been colored.
     """
     if oracle.r != sys.r:
         raise ValueError(f"oracle has r={oracle.r}, system has r={sys.r}")
@@ -247,20 +261,18 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
             elif c != first[1]:
                 counterexample = (first[0], first[1], t, c)
                 break
-        if count == 0:
-            reports.append(
-                LevelReport(level=l, constant=False, color=None, tuple_count=0, counterexample=None)
+        constant = first is not None and counterexample is None
+        reports.append(
+            LevelReport(
+                level=l,
+                constant=constant,
+                color=first[1] if constant else None,
+                tuple_count=count,
+                counterexample=counterexample,
             )
-        else:
-            reports.append(
-                LevelReport(
-                    level=l,
-                    constant=counterexample is None,
-                    color=first[1] if counterexample is None else None,
-                    tuple_count=count,
-                    counterexample=counterexample,
-                )
-            )
+        )
+        if not constant:
+            break
     return HomogeneityReport(levels=tuple(reports))
 
 

@@ -4,21 +4,18 @@ The pipelines get exercised against colorings with engineered structure:
 some make every stage succeed for a predictable reason, others break one
 specific stage on purpose.  They are ordinary ColoringOracles; they live
 here so the per-module tests and test_acceptance use the same copies.
-support_of and with_support read and mutate a SupportAssignment for the
+level_pattern_table builds the tables behind profile_oracle.  support_of
+and with_support read and mutate a SupportAssignment for the
 coherence-checker tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from sumsetlab.deltasys import SupportAssignment
-from sumsetlab.oracle import (
-    ColoringOracle,
-    LookupTableOracle,
-    OrderInvariantOracle,
-    level_pattern_table,
-)
+from sumsetlab.oracle import ColoringOracle, LookupTableOracle, OrderInvariantOracle
+from sumsetlab.pattern import make_string, star
 
 
 class ContainsFourOracle(ColoringOracle):
@@ -77,6 +74,23 @@ class PrimedTopOracle(ColoringOracle):
         l = sum(1 for value in values if value == 2) // 2
         support = v.support
         return 1 if any(support[2 * k + 1] in self._tops for k in range(l)) else 0
+
+
+def level_pattern_table(r: int, profile: Sequence[int]) -> dict[str, int]:
+    """Table mapping the squashed level-l star pattern to profile[l], l <= r.
+
+    Wrapped in an OrderInvariantOracle this realizes any prescribed vector
+    of level colors, which is how the general pipeline is exercised against
+    arbitrary pigeonhole situations.
+    """
+    if len(profile) != r + 1:
+        raise ValueError(f"profile must list {r + 1} colors, got {len(profile)}")
+    table = {}
+    for l, color in enumerate(profile):
+        s = make_string(r, l)
+        table[star(s, range(len(s))).serialize()] = color
+        table[star(s, range(len(s))).scale("1/2").serialize()] = color
+    return table
 
 
 def profile_oracle(r: int, profile) -> OrderInvariantOracle:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import level_pattern_table
 from sumsetlab.deltasys import order_iso, relabel
 from sumsetlab.oracle import (
     ColoringOracle,
@@ -26,7 +27,6 @@ from sumsetlab.oracle import (
     certified_witness,
     derived,
     fnv1a64,
-    level_pattern_table,
     make_oracle,
     verify_witness,
 )
@@ -137,6 +137,16 @@ def test_derived_four_count_levels_for_two_colors():
 def test_derived_rejects_arity_mismatch():
     with pytest.raises(ValueError):
         derived(FourCountOracle(2), 1, (0, 1))
+
+
+def test_derived_rejects_a_level_outside_zero_to_r():
+    o = FourCountOracle(2)
+    assert derived(o, 1, (0, 5, 9)) == 1
+    # Each index set has length r + l, so only the level is at fault; 1.0
+    # equals the valid level 1 already asked for and must still be refused.
+    for l, indices in ((-1, (0,)), (3, (0, 1, 2, 3, 4)), (1.0, (0, 5, 9))):
+        with pytest.raises(ValueError):
+            derived(o, l, indices)
 
 
 def test_derived_agrees_with_direct_star_recomputation():

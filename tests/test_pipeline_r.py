@@ -10,6 +10,8 @@ confirmed against an independent enumeration before being frozen.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from itertools import product
 
@@ -248,10 +250,14 @@ def test_level_color_is_star_of_pattern():
 
 def test_check_levels_four_count():
     oracle = make_oracle("four-count", 2)
-    report = check_levels(oracle, system_from_universe(2, 12))
+    sys0 = system_from_universe(2, 12)
+    report = check_levels(oracle, sys0)
     assert report.all_constant
     assert report.colors == (0, 1, 0)
-    assert all(lvl.tuple_count > 0 for lvl in report.levels)
+    # Every level is constant, so every tuple of every level was colored.
+    for l, lvl in enumerate(report.levels):
+        tuples = list(iter_canonical_tuples(sys0.families, l, index_strict=True))
+        assert lvl.tuple_count == len(tuples) > 0
 
 
 def test_check_levels_profile_oracle():
@@ -266,7 +272,7 @@ def test_check_levels_counterexample_recolors():
     sys0 = system_from_universe(3, 45)
     oracle = PositionCutOracle(3, sys0, cut=9)
     report = check_levels(oracle, sys0)
-    assert [lvl.constant for lvl in report.levels] == [True, False, False, False]
+    assert [lvl.constant for lvl in report.levels] == [True, False]
     lvl = report.levels[1]
     t_a, c_a, t_b, c_b = lvl.counterexample
     assert c_a != c_b
@@ -293,25 +299,27 @@ def test_check_levels_stops_each_level_at_its_counterexample():
     oracle = PositionCutOracle(3, sys0, cut=9)
     counting = CountingPositionCutOracle(3, sys0, cut=9)
     report = check_levels(counting, sys0)
-    expected_seen = []
-    for l, lvl in enumerate(report.levels):
-        # Plain full enumeration: color every tuple, then find the first
-        # one that disagrees with the first tuple.
-        tuples = list(iter_canonical_tuples(sys0.families, l, index_strict=True))
-        colors = [derived(oracle, l, t.entries) for t in tuples]
-        k = next((k for k, c in enumerate(colors) if c != colors[0]), None)
-        if k is None:
-            assert (lvl.constant, lvl.color, lvl.counterexample) == (True, colors[0], None)
-            assert lvl.tuple_count == len(tuples)
-        else:
-            assert (lvl.constant, lvl.color) == (False, None)
-            assert lvl.counterexample == (tuples[0], colors[0], tuples[k], colors[k])
-            assert lvl.tuple_count == k + 1 < len(tuples)
-        expected_seen += [
-            star(make_string(3, l), t.entries).serialize() for t in tuples[: lvl.tuple_count]
-        ]
-    assert [lvl.constant for lvl in report.levels] == [True, False, False, False]
-    assert counting.seen == expected_seen
+    # Plain full enumeration: color every tuple of every level, then find
+    # the first tuple of level 1 that disagrees with its first tuple.
+    tuples = [list(iter_canonical_tuples(sys0.families, l, index_strict=True)) for l in range(4)]
+    colors = [[derived(oracle, l, t.entries) for t in level] for l, level in enumerate(tuples)]
+    assert len(set(colors[0])) == 1
+    k = next(k for k, c in enumerate(colors[1]) if c != colors[1][0])
+    # The report ends at level 1, the first level that is not constant.
+    assert [lvl.constant for lvl in report.levels] == [True, False]
+    level0, level1 = report.levels
+    assert (level0.color, level0.counterexample) == (colors[0][0], None)
+    assert level0.tuple_count == len(tuples[0])
+    assert (level1.constant, level1.color) == (False, None)
+    assert level1.counterexample == (tuples[1][0], colors[1][0], tuples[1][k], colors[1][k])
+    assert level1.tuple_count == k + 1 < len(tuples[1])
+
+    def vectors(l, level):
+        return [star(make_string(3, l), t.entries).serialize() for t in level]
+
+    assert counting.seen == vectors(0, tuples[0]) + vectors(1, tuples[1][: k + 1])
+    later = set(vectors(2, tuples[2])) | set(vectors(3, tuples[3]))
+    assert later and not later & set(counting.seen)
 
 
 def test_check_levels_rejects_r_mismatch():
@@ -618,6 +626,21 @@ def test_construct_r_position_cut_runs_both_reductions():
     ]
     assert verify_saturation(oracle, cert.families) is None
     assert isinstance(verify_witness(oracle, list(cert.witness.vectors)), WitnessCertificate)
+
+
+def test_construct_r_position_cut_payload_and_coloring_count_are_pinned():
+    # The digest pins every byte of the certificate payload; the count pins
+    # the oracle work of the whole run, shrink and last_step included.
+    sys0 = system_from_universe(3, 45)
+    oracle = CountingPositionCutOracle(3, sys0, cut=9)
+    cert = construct_r(oracle, 3, 45, 3)
+    assert isinstance(cert, PipelineRCertificate)
+    text = json.dumps(cert.to_payload(), sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "7651db7b3e0a69f4cfbf20fe987abff5c3977a80102f6a9859eb08f6eb4df308"
+    )
+    assert len(oracle.seen) == 3687
 
 
 def test_construct_r_shrink_failure_propagates():
