@@ -24,7 +24,7 @@ from .oracle import PipelineFailure, UnsoundCertificate, check_points, make_orac
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import HomogeneousSet, brute_homogeneous, greedy_end_homogeneous
-from .search import threshold_scan, write_csv, write_text_atomic
+from .search import DEFAULT_CHECKPOINT_INTERVAL, threshold_scan, write_csv, write_text_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -304,8 +304,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--budget", type=int, default=None)
     ps.add_argument("--x-max", type=int, default=None, help="largest element X may use")
     ps.add_argument("--workers", type=int, default=1)
-    ps.add_argument("--checkpoint", default=None, help="JSON state file (single worker)")
-    ps.add_argument("--checkpoint-interval", type=int, default=100_000)
+    ps.add_argument("--checkpoint", default=None, help="JSON state file")
+    ps.add_argument("--checkpoint-interval", type=int, default=DEFAULT_CHECKPOINT_INTERVAL)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True, help="CSV table path")
     ps.set_defaults(run=cmd_search)

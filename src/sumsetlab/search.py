@@ -45,6 +45,7 @@ import json
 import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from multiprocessing import get_context
 from multiprocessing.connection import wait
@@ -316,8 +317,8 @@ def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
     rule find_bad_coloring applies to free positions).
 
     Depends only on (r, M), never on the worker count, so any schedule
-    explores the same tasks and merges to the same answer.  Checkpoints
-    store it beside the in-flight task index and are refused if it differs.
+    explores the same tasks and merges to the same answer.  A checkpoint
+    logs one entry per task of this list.
     """
     prefixes = [(0,)]
     for _ in range(min(2, max(M - 1, 0))):
@@ -329,23 +330,30 @@ def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
     return prefixes
 
 
-def _run_prefix_task(args) -> BadSearch:
-    k, r, M, budget, x_max, prefix = args
-    return find_bad_coloring(k, r, M, budget=budget, x_max=x_max, forced_prefix=prefix)
+def _run_task(task: tuple, checkpoint: Callable | None) -> BadSearch:
+    # A task is (k, r, M, budget, x_max, prefix, resume_from, interval):
+    # find_bad_coloring's arguments but the checkpoint callback, which a
+    # child process makes for itself.
+    *args, interval = task
+    return find_bad_coloring(*args, checkpoint, interval)
 
 
-def _report_prefix_task(writer, args) -> None:
+def _report_prefix_task(writer, task: tuple, checkpointing: bool) -> None:
+    # (None, (prefix, nodes)) for each DFS checkpoint, then (ok, outcome)
+    checkpoint = (lambda *at: writer.send((None, at))) if checkpointing else None
     try:
-        outcome = (True, _run_prefix_task(args))
+        outcome = (True, _run_task(task, checkpoint))
     except Exception as error:
         outcome = (False, error)
     writer.send(outcome)
     writer.close()
 
 
-def _parallel_results(tasks: list[tuple], workers: int):
-    """Yield the results of tasks in task order, each computed in a child
-    process of its own, at most `workers` at a time.
+def _parallel_results(tasks: list[tuple], workers: int, progress: Callable | None = None):
+    """Yield the result of each task, in task order, each computed in a
+    child process of its own, at most `workers` at a time.  With a progress
+    callback, each DFS checkpoint of task i reaches the parent as
+    progress(i, prefix, nodes).
 
     Each child reports on a pipe nobody else writes to, so closing the
     generator early may kill the children still running.  A Pool cannot be
@@ -363,16 +371,25 @@ def _parallel_results(tasks: list[tuple], workers: int):
             while todo and len(running) < workers:
                 index, task = todo.pop()
                 reader, writer = ctx.Pipe(duplex=False)
-                child = ctx.Process(target=_report_prefix_task, args=(writer, task), daemon=True)
+                child = ctx.Process(
+                    target=_report_prefix_task,
+                    args=(writer, task, progress is not None),
+                    daemon=True,
+                )
                 child.start()
                 writer.close()
                 running[reader] = (index, child)
             for reader in wait(list(running)):
-                index, child = running.pop(reader)
+                index, child = running[reader]
                 try:
-                    done[index] = reader.recv()
+                    ok, value = reader.recv()
                 except EOFError:
-                    done[index] = (False, RuntimeError(f"search task {index} died"))
+                    ok, value = False, RuntimeError(f"search task {index} died")
+                if ok is None:
+                    progress(index, *value)
+                    continue
+                done[index] = (ok, value)
+                del running[reader]
                 reader.close()
                 child.join()
             while yielded in done:
@@ -395,29 +412,41 @@ def _scan_one(
     budget: int | None,
     x_max: int | None,
     workers: int,
-    task_hook: Callable[[int, tuple[int, ...]], BadSearch] | None = None,
+    checkpoint: _ScanCheckpoint | None = None,
+    interval: int = DEFAULT_CHECKPOINT_INTERVAL,
 ) -> ThresholdRecord:
+    """Classify one M.  With a checkpoint, the tasks its log marks finished
+    are not run again, the others resume from their logged prefix, and
+    every DFS checkpoint of a task is logged and written."""
     prefixes = _task_prefixes(r, M)
-    tasks = [(k, r, M, budget, x_max, prefix) for prefix in prefixes]
-    witness = None
-    all_exhausted = True
-    nodes = 0
+    log = [None] * len(prefixes) if checkpoint is None else checkpoint.log_for(M, len(prefixes))
+    pending = [i for i, entry in enumerate(log) if not isinstance(entry, bool)]
+    tasks = [(k, r, M, budget, x_max, prefixes[i], log[i], interval) for i in pending]
+    progress = None
+    if checkpoint is not None:
+
+        def progress(n: int, prefix: tuple[int, ...], nodes: int) -> None:
+            log[pending[n]] = list(prefix)
+            checkpoint.write()
+
     if workers > 1:
-        schedule = closing(_parallel_results(tasks, workers))
-    elif task_hook is not None:
-        schedule = nullcontext(map(task_hook, range(len(prefixes)), prefixes))
+        schedule = closing(_parallel_results(tasks, workers, progress))
     else:
-        schedule = nullcontext(map(_run_prefix_task, tasks))
+        hooks = [None if progress is None else partial(progress, n) for n in range(len(tasks))]
+        schedule = nullcontext(map(_run_task, tasks, hooks))
+    witness = None
+    nodes = 0
     with schedule as results:
-        for result in results:
+        for n, result in enumerate(results):
             nodes += result.nodes
             if result.found:
                 witness = result.coloring
                 break
-            all_exhausted = all_exhausted and result.exhausted
+            log[pending[n]] = result.exhausted
     if witness is not None:
         return ThresholdRecord(k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes)
-    if all_exhausted:
+    # Every task finished without a witness, so each entry is its exhausted flag.
+    if all(log):
         return ThresholdRecord(k=k, r=r, M=M, verdict=FORCED, witness=None, nodes=nodes)
     return ThresholdRecord(k=k, r=r, M=M, verdict=UNDECIDED, witness=None, nodes=nodes)
 
@@ -440,30 +469,31 @@ def threshold_scan(
     larger M aborts the run: with ValueError naming the row when the FORCED
     row was read from the checkpoint, with RuntimeError when this run found
     both.  A checkpoint whose stored rows skip an M or already break that
-    order is refused.  With a checkpoint path (single worker only) the scan
-    persists completed records plus the in-flight DFS prefix and resumes
-    from them.
+    order is refused.  With a checkpoint path the scan persists completed
+    records plus a per-task log of the M in flight, under any worker
+    count, and resumes from them.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
-    if checkpoint_path is not None and workers > 1:
-        raise ValueError("checkpointing requires a single worker")
-    state = _ScanCheckpoint(checkpoint_path, k, r, budget, x_max, checkpoint_interval)
-    # M_max is not part of the checkpoint identity: the records for each M
-    # are the same no matter how far a run intends to go, so a later run may
-    # extend (or truncate its view of) an earlier scan.
-    records = state.completed_records()[:M_max]
+    if checkpoint_interval < 1:
+        raise ValueError("need a checkpoint interval of at least one node")
+    checkpoint = None
+    records = []
+    if checkpoint_path is not None:
+        checkpoint = _ScanCheckpoint(checkpoint_path, k, r, budget, x_max)
+        # M_max is not part of the checkpoint identity: the records for each
+        # M are the same no matter how far a run intends to go, so a later
+        # run may extend (or truncate its view of) an earlier scan.
+        records = checkpoint.records[:M_max]
     stored = len(records)
     forced_at = next((record.M for record in records if record.verdict == FORCED), None)
     for M in range(stored + 1, M_max + 1):
-        record = _scan_one(
-            k, r, M, budget, x_max, workers, task_hook=state.task_hook_for(M)
-        )
+        record = _scan_one(k, r, M, budget, x_max, workers, checkpoint, checkpoint_interval)
         if record.verdict == ESCAPABLE and forced_at is not None:
             # A stored row is outside input: the file is at fault, not the search.
             if forced_at <= stored:
                 raise ValueError(
-                    f"checkpoint {state.path}: monotonicity violated: its row M={forced_at} "
+                    f"checkpoint {checkpoint.path}: monotonicity violated: its row M={forced_at} "
                     f"is FORCED but a bad coloring exists at M={M}"
                 )
             raise RuntimeError(
@@ -473,138 +503,96 @@ def threshold_scan(
         if record.verdict == FORCED and forced_at is None:
             forced_at = M
         records.append(record)
-        state.record_done(records)
-    state.finish()
+        if checkpoint is not None:
+            checkpoint.record_done(records)
+    if checkpoint is not None:
+        checkpoint.write()
     return records
 
 
 class _ScanCheckpoint:
-    """Persistence for threshold_scan: completed records plus, inside the
-    M being scanned, per-task outcomes and the current DFS prefix."""
+    """Persistence for threshold_scan: the completed records and, for the
+    M in flight, a log with one entry per task of _task_prefixes: null (not
+    started), the task's last DFS prefix (running), or its exhausted flag
+    (finished without a witness).  The entries are independent, so any
+    number of tasks may be running."""
 
-    def __init__(self, path, k, r, budget, x_max, interval):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path, k, r, budget, x_max):
+        self.path = Path(path)
         self.config = {"k": k, "r": r, "budget": budget, "x_max": x_max}
-        self.interval = interval
         self.state = {"config": self.config, "records": [], "in_flight": None}
-        if self.path is not None and self.path.exists():
-            loaded = json.loads(self.path.read_text())
-            if loaded.get("config") != self.config:
-                raise ValueError(
-                    f"checkpoint {self.path} was written for config {loaded.get('config')}"
-                )
-            in_flight = loaded.get("in_flight")
-            if in_flight is not None:
-                # Task indices mean something only under the task list they
-                # were written with, and tasks run in order: 0..task-1 are done.
-                tasks = _task_list(r, in_flight["M"])
-                if in_flight.get("tasks") != tasks:
-                    raise ValueError(
-                        f"checkpoint {self.path} splits M={in_flight['M']} into "
-                        f"tasks {in_flight.get('tasks')}, not {tasks}"
-                    )
-                task = in_flight["task"]
-                done = [entry["task"] for entry in in_flight["tasks_done"]]
-                if done != list(range(len(done))) or task != len(done) or task >= len(tasks):
-                    raise ValueError(
-                        f"checkpoint {self.path} is inside task {task!r} of {len(tasks)} "
-                        f"with tasks {done} done"
-                    )
-            self.state = loaded
+        self.records: list[ThresholdRecord] = []
+        if self.path.exists():
+            # Every refusal passes here, so each one names the file.
+            try:
+                self._load(json.loads(self.path.read_text()))
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ValueError(f"checkpoint {self.path} is malformed: {exc!r}") from exc
+            except ValueError as exc:
+                raise ValueError(f"checkpoint {self.path}: {exc}") from exc
 
-    def completed_records(self) -> list[ThresholdRecord]:
-        """The stored records.  They must be the rows M = 1, 2, ... in order,
-        no ESCAPABLE row may follow a FORCED one, and a stored witness must
-        color exactly 1..M and admit no monochromatic X + X, or ValueError
-        is raised."""
-        records = []
+    def _load(self, loaded: dict) -> None:
+        """Read the records and the log, or raise ValueError.  The records
+        must be the rows M = 1, 2, ... in order, no ESCAPABLE row may follow
+        a FORCED one, and a stored witness must color exactly 1..M and admit
+        no monochromatic X + X.  The log must be for the M after the last
+        row, and a logged prefix must agree with its task."""
+        if loaded["config"] != self.config:
+            raise ValueError(f"it was written for config {loaded['config']}")
+        k, r, x_max = self.config["k"], self.config["r"], self.config["x_max"]
         forced_at = None
-        for M, row in enumerate(self.state["records"], start=1):
+        for M, row in enumerate(loaded["records"], start=1):
             if row["M"] != M:
-                raise ValueError(f"checkpoint {self.path}: row {M} is for M={row['M']}, not M={M}")
+                raise ValueError(f"row {M} is for M={row['M']}, not M={M}")
             if row["verdict"] == ESCAPABLE and forced_at is not None:
-                raise ValueError(
-                    f"checkpoint {self.path}: M={M} is ESCAPABLE but M={forced_at} is FORCED"
-                )
+                raise ValueError(f"M={M} is ESCAPABLE but M={forced_at} is FORCED")
             if row["verdict"] == FORCED and forced_at is None:
                 forced_at = M
             witness = None
             if row["witness"] is not None:
-                witness = NatColoring(r=self.config["r"], colors=tuple(row["witness"]))
+                witness = NatColoring(r=r, colors=tuple(row["witness"]))
                 if witness.M != M:
-                    raise ValueError(
-                        f"checkpoint {self.path}: the M={M} witness colors {witness.M} positions"
-                    )
-                X = has_mono_sumset(witness, self.config["k"], x_max=self.config["x_max"])
+                    raise ValueError(f"the M={M} witness colors {witness.M} positions")
+                X = has_mono_sumset(witness, k, x_max=x_max)
                 if X is not None:
-                    raise ValueError(
-                        f"checkpoint {self.path}: the M={M} witness makes X={X} monochromatic"
-                    )
-            records.append(
+                    raise ValueError(f"the M={M} witness makes X={X} monochromatic")
+            self.records.append(
                 ThresholdRecord(
-                    k=self.config["k"],
-                    r=self.config["r"],
+                    k=k,
+                    r=r,
                     M=M,
                     verdict=row["verdict"],
                     witness=witness,
                     nodes=row["nodes"],
                 )
             )
-        return records
-
-    def task_hook_for(self, M: int):
-        if self.path is None:
-            return None
-        in_flight = self.state.get("in_flight")
-        tasks_done: list[dict] = []
-        resume_task = None
-        resume_prefix = None
-        if in_flight is not None and in_flight["M"] == M:
-            # Checked on load: the tasks 0..task-1, in order.
-            tasks_done = list(in_flight["tasks_done"])
-            resume_task = in_flight["task"]
-            resume_prefix = tuple(in_flight["prefix"])
-        task_list = _task_list(self.config["r"], M)
-
-        def hook(index: int, prefix: tuple[int, ...]) -> BadSearch:
-            if resume_task is not None and index < resume_task:
-                done = tasks_done[index]
-                return BadSearch(coloring=None, exhausted=done["exhausted"], nodes=done["nodes"])
-
-            def save(dfs_prefix: tuple[int, ...], nodes: int) -> None:
-                self.state["in_flight"] = {
-                    "M": M,
-                    "tasks": task_list,
-                    "task": index,
-                    "prefix": list(dfs_prefix),
-                    "nodes": nodes,
-                    "tasks_done": tasks_done,
-                }
-                self._write()
-
-            config = self.config
-            result = find_bad_coloring(
-                config["k"],
-                config["r"],
-                M,
-                budget=config["budget"],
-                x_max=config["x_max"],
-                forced_prefix=prefix,
-                resume_from=resume_prefix if index == resume_task else None,
-                checkpoint=save,
-                checkpoint_interval=self.interval,
-            )
-            if not result.found:
-                tasks_done.append(
-                    {"task": index, "exhausted": result.exhausted, "nodes": result.nodes}
+        in_flight = loaded["in_flight"]
+        if in_flight is not None:
+            M, log = in_flight["M"], in_flight["log"]
+            if M != len(self.records) + 1:
+                raise ValueError(f"M={M} is in flight after {len(self.records)} rows")
+            tasks = _task_prefixes(r, M)
+            if len(log) != len(tasks):
+                raise ValueError(f"the M={M} log has {len(log)} entries for {len(tasks)} tasks")
+            for task, entry in zip(tasks, log):
+                running = (
+                    isinstance(entry, list)
+                    and len(entry) <= M
+                    and all(type(c) is int and 0 <= c < r for c in entry)
+                    and tuple(entry[: len(task)]) == task[: len(entry)]
                 )
-            return result
+                if not (entry is None or isinstance(entry, bool) or running):
+                    raise ValueError(f"the M={M} log has {entry!r} for task {list(task)}")
+        self.state = loaded
 
-        return hook
+    def log_for(self, M: int, task_count: int) -> list:
+        """The log of M, which the caller updates in place.  A loaded log is
+        for the first M the scan runs (checked on load), else it starts empty."""
+        if self.state["in_flight"] is None:
+            self.state["in_flight"] = {"M": M, "log": [None] * task_count}
+        return self.state["in_flight"]["log"]
 
     def record_done(self, records: list[ThresholdRecord]) -> None:
-        if self.path is None:
-            return
         self.state["records"] = [
             {
                 "M": record.M,
@@ -615,19 +603,10 @@ class _ScanCheckpoint:
             for record in records
         ]
         self.state["in_flight"] = None
-        self._write()
+        self.write()
 
-    def finish(self) -> None:
-        if self.path is not None:
-            self._write()
-
-    def _write(self) -> None:
+    def write(self) -> None:
         write_text_atomic(self.path, json.dumps(self.state, sort_keys=True, indent=2) + "\n")
-
-
-def _task_list(r: int, M: int) -> list[list[int]]:
-    """_task_prefixes(r, M) as a checkpoint stores it."""
-    return [list(prefix) for prefix in _task_prefixes(r, M)]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

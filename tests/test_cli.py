@@ -344,9 +344,8 @@ def test_search_torn_checkpoint_write_keeps_previous_and_resumes(tmp_path, monke
     assert torn["before"] is not None
     assert state.read_bytes() == torn["before"]
     snapshot = json.loads(state.read_text())
-    assert len(snapshot["records"]) == 11 and snapshot["in_flight"]["M"] == 12
-    assert snapshot["in_flight"]["task"] == 1
-    assert snapshot["in_flight"]["prefix"] == [0, 0, 1, 0, 1]
+    assert len(snapshot["records"]) == 11
+    assert snapshot["in_flight"] == {"M": 12, "log": [True, [0, 0, 1, 0, 1], None, None]}
     assert sorted(p.name for p in (tmp_path / "torn").iterdir()) == ["state.json"]
 
     assert run_in("torn") == EXIT_OK
@@ -387,13 +386,50 @@ def test_torn_output_write_keeps_previous_file(tmp_path, monkeypatch):
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
-def test_search_rejects_checkpoint_with_workers(tmp_path, capsys):
-    code = main(
-        ["search", "--k", "2", "--r", "2", "--m-max", "4", "--workers", "2",
-         "--checkpoint", str(tmp_path / "s.json"), "--out", str(tmp_path / "s.csv")]
-    )
+def test_search_checkpoint_under_two_workers_matches_one_worker(tmp_path):
+    # Table, witness files and finished checkpoint, byte for byte.
+    for workers in ("1", "2"):
+        folder = tmp_path / workers
+        folder.mkdir()
+        run_ok(["search", "--k", "2", "--r", "2", "--m-max", "14", "--workers", workers,
+                "--checkpoint", str(folder / "state.json"), "--checkpoint-interval", "5",
+                "--out", str(folder / "scan.csv")])
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 2 + 13
+    assert sorted(p.name for p in (tmp_path / "2").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+@pytest.mark.parametrize("interval", ["0", "-3"])
+def test_search_rejects_a_non_positive_checkpoint_interval(tmp_path, capsys, interval):
+    state = tmp_path / "c.json"
+    code = main(["search", "--k", "2", "--r", "2", "--m-max", "6", "--checkpoint", str(state),
+                 "--checkpoint-interval", interval, "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_USAGE
-    assert "single worker" in capsys.readouterr().err
+    assert "checkpoint interval of at least one node" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        ([1, 2], "TypeError("),
+        ({"config": {"k": 2, "r": 2, "budget": None, "x_max": None},
+          "records": [{"M": 1, "witness": [0], "nodes": 1}], "in_flight": None},
+         "KeyError('verdict')"),
+        ({"config": {"k": 2, "r": 2, "budget": None, "x_max": None}, "in_flight": None},
+         "KeyError('records')"),
+    ],
+)
+def test_search_refuses_a_malformed_checkpoint_naming_it(tmp_path, capsys, content, error):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(content))
+    code = main(["search", "--k", "2", "--r", "2", "--m-max", "3", "--checkpoint", str(state),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert f"checkpoint {state} is malformed: {error}" in capsys.readouterr().err
+    assert json.loads(state.read_text()) == content
 
 
 # ---------------------------------------------------------------------------

@@ -339,9 +339,10 @@ def test_threshold_scan_worker_count_is_invisible():
 
 
 def test_parallel_results_stop_kills_the_running_tasks():
-    quick = (2, 2, 4, None, None, (0,))
+    # (k, r, M, budget, x_max, prefix, resume_from, checkpoint interval)
+    quick = (2, 2, 4, None, None, (0,), None, 1)
     # tens of seconds of search, unless stopping the schedule kills it
-    slow = (3, 3, 200, 400_000, None, (0,))
+    slow = (3, 3, 200, 400_000, None, (0,), None, 1)
     results = _parallel_results([quick, slow], workers=2)
     start = time.monotonic()
     assert next(results) == find_bad_coloring(2, 2, 4, forced_prefix=(0,))
@@ -352,7 +353,8 @@ def test_parallel_results_stop_kills_the_running_tasks():
 
 def test_parallel_results_raise_a_task_error():
     with pytest.raises(ValueError):
-        list(_parallel_results([(2, 2, 4, None, None, (0,)), (0, 2, 4, None, None, (0,))], 2))
+        tasks = [(2, 2, 4, None, None, (0,), None, 1), (0, 2, 4, None, None, (0,), None, 1)]
+        list(_parallel_results(tasks, 2))
     assert multiprocessing.active_children() == []
 
 
@@ -371,8 +373,9 @@ def test_threshold_scan_x_max_zero_is_vacuous():
 def test_threshold_scan_validation():
     with pytest.raises(ValueError):
         threshold_scan(2, 2, 4, workers=0)
-    with pytest.raises(ValueError):
-        threshold_scan(2, 2, 4, workers=2, checkpoint_path="/tmp/nope.json")
+    for interval in (0, -3):
+        with pytest.raises(ValueError, match="checkpoint interval of at least one node"):
+            threshold_scan(2, 2, 4, checkpoint_interval=interval)
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +404,14 @@ def test_checkpoint_rejects_other_config(tmp_path):
 
 
 def test_checkpoint_rejects_other_task_list(tmp_path):
-    # Written when r = 3 split into all nine prefixes starting with 0: the
-    # run was inside task 5, (0, 1, 2), which no task of today's list of
-    # five covers, so its task indices must not be reused.
+    # Written when r = 3 split M = 8 into all nine prefixes (0, a, b): a log
+    # of nine entries cannot be matched to today's five tasks.
     path = tmp_path / "scan.json"
-    done = [{"task": t, "exhausted": True, "nodes": 10} for t in range(5)]
-    state = {
-        "config": {"k": 2, "r": 3, "budget": None, "x_max": None},
-        "records": [],
-        "in_flight": {"M": 8, "task": 5, "prefix": [0, 1, 2, 0], "nodes": 40, "tasks_done": done},
-    }
+    threshold_scan(2, 3, 7, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    state["in_flight"] = {"M": 8, "log": [True] * 5 + [[0, 1, 2, 0]] + [None] * 3}
     path.write_text(json.dumps(state))
-    with pytest.raises(ValueError, match="into tasks None"):
-        threshold_scan(2, 3, 8, checkpoint_path=path)
-    state["in_flight"]["tasks"] = [list(p) for p in product(range(1), range(3), range(3))]
-    path.write_text(json.dumps(state))
-    with pytest.raises(ValueError, match="into tasks"):
+    with pytest.raises(ValueError, match="the M=8 log has 9 entries for 5 tasks"):
         threshold_scan(2, 3, 8, checkpoint_path=path)
 
 
@@ -455,70 +450,114 @@ def test_checkpoint_rejects_a_stored_forced_row_below_an_escapable_one(tmp_path)
         threshold_scan(2, 2, 5, checkpoint_path=path)
 
 
-def crash_inside_m12(path, monkeypatch) -> dict:
-    """Run the (2, 2) scan to M = 12 with a checkpoint every 5 nodes, crash
-    at the 26th checkpoint write, and return the checkpoint left behind."""
-    real_write = _ScanCheckpoint._write
+def crash_at_write(path, monkeypatch, at, workers=1, M_max=12, inside=None) -> dict:
+    """Run the (2, 2) scan to M_max with a checkpoint every 5 nodes, crash at
+    the at-th checkpoint write (counting only the writes made while M = inside
+    is in flight, when it is given), and return the checkpoint left behind."""
+    real_write = _ScanCheckpoint.write
     writes = {"n": 0}
 
-    def crash_on_twenty_sixth(self):
-        writes["n"] += 1
-        if writes["n"] == 26:
-            raise RuntimeError("simulated crash")
+    def crash_on_write(self):
+        in_flight = self.state["in_flight"]
+        if inside is None or (in_flight is not None and in_flight["M"] == inside):
+            writes["n"] += 1
+            if writes["n"] == at:
+                raise RuntimeError("simulated crash")
         real_write(self)
 
-    monkeypatch.setattr(_ScanCheckpoint, "_write", crash_on_twenty_sixth)
+    monkeypatch.setattr(_ScanCheckpoint, "write", crash_on_write)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
-    monkeypatch.setattr(_ScanCheckpoint, "_write", real_write)
+        threshold_scan(
+            2, 2, M_max, workers=workers, checkpoint_path=path, checkpoint_interval=5
+        )
+    monkeypatch.setattr(_ScanCheckpoint, "write", real_write)
     return json.loads(path.read_text())
 
 
 def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     baseline = threshold_scan(2, 2, 12)
     path = tmp_path / "scan.json"
-    snapshot = crash_inside_m12(path, monkeypatch)
+    snapshot = crash_at_write(path, monkeypatch, at=26)
 
-    # The crash lands in the second task of M = 12, after the first one
-    # was exhausted, so resuming must skip a finished task and fast-forward
-    # inside the next one.
+    # The crash lands in the second of the four tasks of M = 12, after the
+    # first one was exhausted, so resuming must skip a finished task and
+    # fast-forward inside the next one.
     assert len(snapshot["records"]) == 11
-    in_flight = snapshot["in_flight"]
-    assert in_flight["M"] == 12 and in_flight["task"] == 1
-    assert in_flight["tasks"] == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
-    assert in_flight["prefix"] == [0, 0, 1, 0, 1]
-    assert in_flight["tasks_done"] == [{"task": 0, "exhausted": True, "nodes": 15}]
+    assert _task_prefixes(2, 12) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    assert snapshot["in_flight"] == {"M": 12, "log": [True, [0, 0, 1, 0, 1], None, None]}
 
     resumed = threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
     assert resumed == baseline
     assert [rec.witness for rec in resumed] == [rec.witness for rec in baseline]
 
 
-def test_checkpoint_rejects_in_flight_bookkeeping_the_writer_never_stores(tmp_path, monkeypatch):
-    # The writer stores tasks_done = [task 0] while inside task 1 of four.
+# M = 12 is ESCAPABLE through its second task, so the crash may leave the
+# first one running or finished; M = 14 is FORCED, and its four tasks log
+# 3 + 6 + 6 + 3 checkpoints at 5 nodes each.  Which entries a two-worker
+# crash leaves running or finished depends on the race between the children.
+@pytest.mark.parametrize("inside, at", [(12, 4), (14, 2), (14, 9), (14, 18)])
+def test_two_worker_crash_resumes_under_either_worker_count(tmp_path, monkeypatch, inside, at):
+    baseline = threshold_scan(2, 2, 14)
     path = tmp_path / "scan.json"
-    snapshot = crash_inside_m12(path, monkeypatch)
-    assert snapshot["in_flight"]["task"] == 1
+    snapshot = crash_at_write(path, monkeypatch, at=at, workers=2, M_max=14, inside=inside)
+    assert multiprocessing.active_children() == []
+    assert len(snapshot["records"]) == inside - 1
+    assert snapshot["in_flight"]["M"] == inside
+    for workers in (2, 1):
+        path.write_text(json.dumps(snapshot))
+        resumed = threshold_scan(
+            2, 2, 14, workers=workers, checkpoint_path=path, checkpoint_interval=5
+        )
+        assert resumed == baseline
+        assert [rec.witness for rec in resumed] == [rec.witness for rec in baseline]
+        assert multiprocessing.active_children() == []
 
-    def entry(task):
-        return {"task": task, "exhausted": True, "nodes": 15}
 
+def test_checkpoint_rejects_a_log_the_writer_never_stores(tmp_path, monkeypatch):
+    # The writer logs [True, [0, 0, 1, 0, 1], None, None] for M = 12, whose
+    # tasks are (0, 0, 0), (0, 0, 1), (0, 1, 0) and (0, 1, 1).
+    path = tmp_path / "scan.json"
+    snapshot = crash_at_write(path, monkeypatch, at=26)
+    assert len(snapshot["records"]) == 11
+
+    def log(*entries, M=12):
+        return {"M": M, "log": list(entries)}
+
+    too_long = [0, 0, 1] + [0] * 10
     tampered = [
-        (1, []),  # task 0 would be run again
-        (1, [entry(0), entry(1)]),  # the in-flight task would be skipped
-        (1, [entry(0), entry(0)]),
-        (1, [entry(0), entry(3)]),  # task 3 would be skipped
-        (1, [entry(0), entry(9)]),  # there is no task 9
-        (4, [entry(t) for t in range(4)]),  # there are only four tasks
-        (-1, []),
+        # wrong length
+        (log(True, None, None), "the M=12 log has 3 entries for 4 tasks"),
+        (log(*[True] * 5), "the M=12 log has 5 entries for 4 tasks"),
+        # a prefix outside its task
+        (log(True, [0, 1, 0, 0], None, None), "the M=12 log has [0, 1, 0, 0] for task [0, 0, 1]"),
+        (log([0, 0], [0, 0, 1, 2], None, None), "the M=12 log has [0, 0, 1, 2] for task [0, 0, 1]"),
+        (log(True, too_long, None, None), f"the M=12 log has {too_long} for task [0, 0, 1]"),
+        # a wrong entry type
+        (log(True, "0,0,1", None, None), "the M=12 log has '0,0,1' for task [0, 0, 1]"),
+        (log(True, 1, None, None), "the M=12 log has 1 for task [0, 0, 1]"),
+        (log(True, [0, 0, True], None, None), "the M=12 log has [0, 0, True] for task [0, 0, 1]"),
+        # an in-flight M other than rows + 1
+        (log(None, None, None, None, M=11), "M=11 is in flight after 11 rows"),
+        (log(None, None, None, None, M=13), "M=13 is in flight after 11 rows"),
     ]
-    for task, done in tampered:
-        state = json.loads(json.dumps(snapshot))
-        state["in_flight"].update(task=task, tasks_done=done)
-        path.write_text(json.dumps(state))
-        message = re.escape(f"checkpoint {path} is inside task {task} of 4")
-        with pytest.raises(ValueError, match=message):
+    for in_flight, message in tampered:
+        path.write_text(json.dumps(dict(snapshot, in_flight=in_flight)))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {message}")):
             threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
+
+    # The single in-flight cursor that earlier versions stored.
+    cursor = {
+        "M": 12,
+        "tasks": [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]],
+        "task": 1,
+        "prefix": [0, 0, 1, 0, 1],
+        "nodes": 125,
+        "tasks_done": [{"task": 0, "exhausted": True, "nodes": 15}],
+    }
+    path.write_text(json.dumps(dict(snapshot, in_flight=cursor)))
+    message = re.escape(f"checkpoint {path} is malformed: KeyError('log')")
+    with pytest.raises(ValueError, match=message):
+        threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
 
 
 def test_monotonicity_guard_aborts(tmp_path):
