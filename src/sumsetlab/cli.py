@@ -23,7 +23,14 @@ from .deltasys import SupportAssignment, check_cl3, check_cl4, generate_canonica
 from .oracle import PipelineFailure, UnsoundCertificate, check_points, make_oracle
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
-from .ramsey import HomogeneousSet, brute_homogeneous, greedy_end_homogeneous
+from .ramsey import (
+    FULL_SCAN_ARITY,
+    FULL_SCAN_POINTS,
+    TRUNCATED_BUDGET,
+    HomogeneousSet,
+    brute_homogeneous,
+    greedy_end_homogeneous,
+)
 from .search import DEFAULT_CHECKPOINT_INTERVAL, threshold_scan, write_csv, write_text_atomic
 
 EXIT_OK = 0
@@ -133,10 +140,15 @@ def cmd_ramsey(args) -> int:
     else:
         found = greedy_end_homogeneous(coloring, args.m, budget=args.budget)
     if not isinstance(found, HomogeneousSet):
-        return _fail(
-            f"no homogeneous set: {found.reason} (exhaustive={found.exhaustive})",
-            EXIT_NOT_FOUND,
-        )
+        message = f"no homogeneous set: {found.reason} (exhaustive={found.exhaustive})"
+        if args.budget is None and not found.exhaustive:
+            unit = "subsets" if args.method == "brute" else "nodes"
+            message += (
+                f"; without --budget the search stops at the implicit cap of "
+                f"{TRUNCATED_BUDGET:,} {unit} on more than {FULL_SCAN_POINTS} points "
+                f"or arity above {FULL_SCAN_ARITY}, and --budget raises it"
+            )
+        return _fail(message, EXIT_NOT_FOUND)
     payload = {
         "kind": "ramsey",
         "level": args.level,

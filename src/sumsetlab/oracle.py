@@ -9,10 +9,13 @@ tables (lookup-table in memory, external-table-file on disk, both strict
 about unmapped vectors), a constant oracle, and a wrapper that forces
 invariance under order isomorphisms of the coordinate indices.
 
-Oracles are stateless: color keeps nothing between calls, so a repeated
-query recomputes its answer.  The pipelines color index tuples, not
-vectors, and the only cache is TupleColoring's, keyed by index tuple.
-derived is the single place where a level tuple becomes a vector.
+A color is a pure function of the vector.  Only the order-invariant
+wrapper keeps state: one entry holding its last value sequence and the
+color it got, so a run of queries with one value sequence asks the inner
+oracle once.  An inner error is never stored.  Every other oracle keeps
+nothing between calls.  The pipelines color index tuples, not vectors,
+and TupleColoring caches by index tuple.  derived is the single place
+where a level tuple becomes a vector.
 
 verify_witness colors every pairwise sum of a witness set X (doubles
 included) and certifies one color or names two sums that disagree.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .pattern import make_string, star
@@ -160,16 +164,30 @@ class OrderInvariantOracle(ColoringOracle):
     The wrapped oracle only ever sees vectors squashed onto the initial
     segment 0..k-1, so the color can depend only on the sequence of values
     read in increasing support order.
+
+    The color is still a pure function of the vector, but the wrapper keeps
+    one entry of state: its last value sequence and the color the inner
+    oracle gave it.  A query with an equal sequence returns that color
+    without squashing or asking the inner oracle.  The pipelines query one
+    level pattern for many tuples in a row, and every query of such a run
+    carries the same Fraction objects, so the comparison is cheap.  An
+    inner error stores nothing and is raised again on a repeat.
     """
 
     def __init__(self, inner: ColoringOracle):
         super().__init__(inner.r, "order-invariant-wrapper")
         self.inner = inner
+        self._last: tuple[tuple[Fraction, ...], int] | None = None
 
     def _color_impl(self, v: QVec) -> int:
+        values = v.values_in_order()
+        last = self._last
+        if last is not None and last[0] == values:
+            return last[1]
         # v's values are nonzero Fractions, placed here on 0..k-1 in order.
-        squashed = QVec._from_sorted(tuple(enumerate(v.values_in_order())))
-        return self.inner.color(squashed)
+        color = self.inner.color(QVec._from_sorted(tuple(enumerate(values))))
+        self._last = (values, color)
+        return color
 
     def descriptor(self) -> str:
         return f"order-invariant-wrapper:{self.inner.descriptor()}"

@@ -199,6 +199,20 @@ def test_ramsey_not_found(capsys):
     assert "no homogeneous set" in capsys.readouterr().err
 
 
+def test_ramsey_names_the_implicit_cap(capsys):
+    # 40 points exceed the full-scan limit, so with no --budget the brute
+    # scan stops at ramsey.TRUNCATED_BUDGET subsets and must say so.
+    argv = ["ramsey", "--oracle", "seeded-hash:1", "--r", "2", "--level", "2", "--n", "40",
+            "--m", "14", "--method", "brute"]
+    assert main(argv) == EXIT_NOT_FOUND
+    err = capsys.readouterr().err
+    assert err.startswith("no homogeneous set: budget exceeded (exhaustive=False); ")
+    assert "implicit cap of 200,000 subsets" in err
+    assert "--budget raises it" in err
+    assert main([*argv, "--budget", "1000"]) == EXIT_NOT_FOUND
+    assert capsys.readouterr().err == "no homogeneous set: budget exceeded (exhaustive=False)\n"
+
+
 def test_ramsey_level_out_of_range(capsys):
     code = main(
         ["ramsey", "--oracle", "four-count", "--r", "2", "--level", "3", "--n", "8", "--m", "3"]

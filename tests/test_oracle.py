@@ -2,6 +2,7 @@
 
 import copy
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from sumsetlab.oracle import (
     verify_witness,
 )
 from sumsetlab.pattern import make_string, star
+from sumsetlab.pipeline_r import PipelineRCertificate, construct_r
 from sumsetlab.qvec import QVec
 
 indices = st.integers(min_value=0, max_value=63)
@@ -168,12 +170,106 @@ def _state(oracle):
 
 def test_oracles_are_stateless():
     vectors = [QVec({i: 2, j: 4}) for i, j in combinations(range(80), 2)]
-    for descriptor in ("seeded-hash:3", "order-invariant-wrapper:seeded-hash:3"):
-        o = make_oracle(descriptor, 3)
-        before = _state(o)
-        colors = [o.color(v) for v in vectors]
-        assert _state(o) == before
-        assert [o.color(v) for v in vectors] == colors
+    o = make_oracle("seeded-hash:3", 3)
+    before = _state(o)
+    colors = [o.color(v) for v in vectors]
+    assert _state(o) == before
+    assert [o.color(v) for v in vectors] == colors
+
+
+def _squashed(v):
+    """v's values placed on 0..k-1 in support order, built independently."""
+    return QVec(enumerate(v.values_in_order()))
+
+
+def test_order_invariant_wrapper_keeps_only_its_last_color():
+    # The wrapper's one memo entry must be invisible: in order, shuffled and
+    # repeated, every color is the inner color of the squashed vector.
+    # The mirrored vectors give a second value sequence to alternate with.
+    pairs = combinations(range(80), 2)
+    vectors = [QVec(entries) for i, j in pairs for entries in ({i: 2, j: 4}, {i: 4, j: 2})]
+    o = make_oracle("order-invariant-wrapper:seeded-hash:3", 3)
+    inner = make_oracle("seeded-hash:3", 3)
+    shuffled = list(vectors)
+    random.Random(0).shuffle(shuffled)
+    for batch in (vectors[::2], vectors, shuffled):
+        colors = [o.color(v) for v in batch]
+        assert colors == [inner.color(_squashed(v)) for v in batch]
+        assert [o.color(v) for v in batch] == colors
+    assert set(vars(o)) <= {"r", "kind", "inner", "_last"}
+
+
+@given(
+    st.lists(
+        st.tuples(qvecs, st.integers(min_value=0, max_value=40), st.integers(1, 3)),
+        max_size=12,
+    )
+)
+def test_order_invariant_memo_is_transparent(runs):
+    # Each run repeats a vector back to back, shifted by a fixed stride: a
+    # stride of 0 repeats it exactly, any other stride keeps its values.
+    queries = [
+        QVec({i + k * stride: value for i, value in v.items()})
+        for v, stride, repeat in runs
+        for k in range(repeat)
+    ]
+    long_lived = OrderInvariantOracle(SeededHashOracle(3, 7))
+    assert [long_lived.color(v) for v in queries] == [
+        OrderInvariantOracle(SeededHashOracle(3, 7)).color(v) for v in queries
+    ]
+
+
+def test_order_invariant_memo_stores_no_inner_error():
+    o = OrderInvariantOracle(LookupTableOracle(2, {QVec({0: 2}).serialize(): 1}))
+    assert o.color(QVec({3: 2})) == 1
+    for _ in range(2):
+        with pytest.raises(UnmappedVector):
+            o.color(QVec({5: 4}))
+    assert o.color(QVec({7: 2})) == 1
+
+    class OutOfRange(ColoringOracle):
+        def __init__(self):
+            super().__init__(2, "out-of-range")
+
+        def _color_impl(self, v):
+            return 7
+
+    o = OrderInvariantOracle(OutOfRange())
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="out-of-range color 7"):
+            o.color(QVec({1: 2}))
+
+
+class _CountingHash(SeededHashOracle):
+    def __init__(self, r, seed):
+        super().__init__(r, seed)
+        self.calls = 0
+
+    def _color_impl(self, v):
+        self.calls += 1
+        return super()._color_impl(v)
+
+
+class _SquashEveryQuery(ColoringOracle):
+    """The order-invariant wrapper without a memo."""
+
+    def __init__(self, inner):
+        super().__init__(inner.r, "order-invariant-wrapper")
+        self.inner = inner
+
+    def _color_impl(self, v):
+        return self.inner.color(_squashed(v))
+
+
+def test_order_invariant_wrapper_asks_inner_once_per_run_in_construct_r():
+    # r = 4 takes the constant-level path: tens of thousands of level tuples
+    # over five level patterns, then the witness sums.
+    counting = _CountingHash(4, 0)
+    cert = construct_r(OrderInvariantOracle(counting), 4, 48, 4)
+    assert isinstance(cert, PipelineRCertificate)
+    assert 1 <= counting.calls <= 6
+    plain = construct_r(_SquashEveryQuery(SeededHashOracle(4, 0)), 4, 48, 4)
+    assert plain.to_payload() == cert.to_payload()
 
 
 def test_lookup_table_is_strict_about_unmapped_vectors():
