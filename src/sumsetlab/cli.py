@@ -4,7 +4,8 @@ Every run embeds its semantic configuration (not resource knobs like
 worker counts) in its primary output, and identical configurations yield
 byte-identical outputs whatever the parallelism.  Exit codes are machine
 readable: 0 success, 1 usage or parse problem, 2 a search or pipeline
-came up empty, 3 a verification failed.
+came up empty after a complete search, 3 a verification failed, 4 a
+search or pipeline stopped at its budget before finding anything.
 
 The single --seed (default 0) is the only randomness inlet: a bare
 "seeded-hash" oracle descriptor picks it up, and descriptors written into
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .deltasys import SupportAssignment, check_cl3, check_cl4, generate_canonical
 from .oracle import PipelineFailure, UnsoundCertificate, check_points, make_oracle
+from .pattern import make_string, star
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import (
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_FOUND = 2
 EXIT_VERIFY = 3
+EXIT_BUDGET = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +80,7 @@ def _emit_certificate(result, config: dict, out: str | None) -> int:
         return _fail(
             f"no witness family: {result.reason} "
             f"(exhaustive={result.exhaustive}, stage={result.stage})",
-            EXIT_NOT_FOUND,
+            EXIT_NOT_FOUND if result.exhaustive else EXIT_BUDGET,
         )
     _emit({**result.to_payload(), "config": config}, out)
     return EXIT_OK
@@ -148,7 +151,7 @@ def cmd_ramsey(args) -> int:
                 f"{TRUNCATED_BUDGET:,} {unit} on more than {FULL_SCAN_POINTS} points "
                 f"or arity above {FULL_SCAN_ARITY}, and --budget raises it"
             )
-        return _fail(message, EXIT_NOT_FOUND)
+        return _fail(message, EXIT_NOT_FOUND if found.exhaustive else EXIT_BUDGET)
     payload = {
         "kind": "ramsey",
         "level": args.level,
@@ -241,12 +244,17 @@ def _recheck_ramsey(payload: dict) -> None:
     if payload["top"] is not None:
         points.append(payload["top"])
     check_points(points, n)
-    coloring = derived_tuple_colorings(oracle, n)[level]
-    if payload["arity"] != coloring.arity:
-        raise UnsoundCertificate(f"arity {payload['arity']} is not r + level = {coloring.arity}")
-    for tup in combinations(points, coloring.arity):
-        if coloring.color(tup) != payload["color"]:
-            raise UnsoundCertificate(f"tuple {tup} has color {coloring.color(tup)}")
+    # Each tuple is colored through star, not derived: the re-check must not
+    # rest on a kind's order_invariant declaration.
+    pattern = make_string(r, level)
+    if payload["arity"] != len(pattern):
+        raise UnsoundCertificate(f"arity {payload['arity']} is not r + level = {len(pattern)}")
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValueError(f"members and top must be distinct with the top last, got {points}")
+    for tup in combinations(points, len(pattern)):
+        color = oracle.color(star(pattern, tup))
+        if color != payload["color"]:
+            raise UnsoundCertificate(f"tuple {tup} has color {color}")
 
 
 _RECHECKERS = {

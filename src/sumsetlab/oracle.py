@@ -9,13 +9,14 @@ tables (lookup-table in memory, external-table-file on disk, both strict
 about unmapped vectors), a constant oracle, and a wrapper that forces
 invariance under order isomorphisms of the coordinate indices.
 
-A color is a pure function of the vector.  Only the order-invariant
-wrapper keeps state: one entry holding its last value sequence and the
-color it got, so a run of queries with one value sequence asks the inner
-oracle once.  An inner error is never stored.  Every other oracle keeps
-nothing between calls.  The pipelines color index tuples, not vectors,
-and TupleColoring caches by index tuple.  derived is the single place
-where a level tuple becomes a vector.
+A color is a pure function of the vector, and color keeps nothing
+between calls.  The pipelines color index tuples, not vectors, and
+TupleColoring caches by index tuple.  derived is the single place where a
+level tuple becomes a vector.  A kind whose color depends only on the
+values read in increasing support order declares order_invariant (the
+structural kinds, constant and the wrapper).  Every level-l tuple then
+has one color, so such an oracle keeps its level colors: derived fills a
+table of at most r + 1 of them on first use and never stores an error.
 
 verify_witness colors every pairwise sum of a witness set X (doubles
 included) and certifies one color or names two sums that disagree.
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .pattern import make_string, star
+from .pattern import is_increasing_naturals, make_string, star
 from .qvec import QVec, sumset
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -52,7 +52,14 @@ class UnmappedVector(Exception):
 
 
 class ColoringOracle:
-    """Base class: deterministic total coloring of QVecs with r colors."""
+    """Base class: deterministic total coloring of QVecs with r colors.
+
+    order_invariant declares that the color depends only on the values in
+    increasing support order; derived relies on it, so a kind sets it only
+    when that holds for every vector.
+    """
+
+    order_invariant = False
 
     def __init__(self, r: int, kind: str):
         if not isinstance(r, int) or r < 1:
@@ -76,6 +83,8 @@ class ColoringOracle:
 
 
 class SupportSizeOracle(ColoringOracle):
+    order_invariant = True
+
     def __init__(self, r: int):
         super().__init__(r, "support-size")
 
@@ -84,6 +93,8 @@ class SupportSizeOracle(ColoringOracle):
 
 
 class FourCountOracle(ColoringOracle):
+    order_invariant = True
+
     def __init__(self, r: int):
         super().__init__(r, "four-count")
 
@@ -92,6 +103,8 @@ class FourCountOracle(ColoringOracle):
 
 
 class FloorSumOracle(ColoringOracle):
+    order_invariant = True
+
     def __init__(self, r: int):
         super().__init__(r, "floor-sum")
 
@@ -118,6 +131,8 @@ class SeededHashOracle(ColoringOracle):
 
 
 class ConstantOracle(ColoringOracle):
+    order_invariant = True
+
     def __init__(self, r: int, value: int = 0):
         super().__init__(r, "constant")
         if not 0 <= value < r:
@@ -163,31 +178,21 @@ class OrderInvariantOracle(ColoringOracle):
 
     The wrapped oracle only ever sees vectors squashed onto the initial
     segment 0..k-1, so the color can depend only on the sequence of values
-    read in increasing support order.
-
-    The color is still a pure function of the vector, but the wrapper keeps
-    one entry of state: its last value sequence and the color the inner
-    oracle gave it.  A query with an equal sequence returns that color
-    without squashing or asking the inner oracle.  The pipelines query one
-    level pattern for many tuples in a row, and every query of such a run
-    carries the same Fraction objects, so the comparison is cheap.  An
-    inner error stores nothing and is raised again on a repeat.
+    read in increasing support order, and the kind declares
+    order_invariant.  The wrapper keeps no state of its own: each color
+    call squashes and asks the inner oracle.  derived keeps the level
+    colors, so a pipeline asks the inner oracle once per level pattern.
     """
+
+    order_invariant = True
 
     def __init__(self, inner: ColoringOracle):
         super().__init__(inner.r, "order-invariant-wrapper")
         self.inner = inner
-        self._last: tuple[tuple[Fraction, ...], int] | None = None
 
     def _color_impl(self, v: QVec) -> int:
-        values = v.values_in_order()
-        last = self._last
-        if last is not None and last[0] == values:
-            return last[1]
         # v's values are nonzero Fractions, placed here on 0..k-1 in order.
-        color = self.inner.color(QVec._from_sorted(tuple(enumerate(values))))
-        self._last = (values, color)
-        return color
+        return self.inner.color(QVec._from_sorted(tuple(enumerate(v.values_in_order()))))
 
     def descriptor(self) -> str:
         return f"order-invariant-wrapper:{self.inner.descriptor()}"
@@ -238,9 +243,22 @@ def derived(oracle: ColoringOracle, l: int, indices: Sequence[int]) -> int:
     """d_l: color of the level-l pattern placed on the given index set.
 
     make_string rejects an l outside [0, r] and star an index set whose
-    length is not r + l.
+    length is not r + l.  When the oracle declares order_invariant and the
+    indices pass star's fast-path test, every such index set carries the
+    level's values in one order, so the color comes from the oracle's
+    table of level colors, filled by coloring the first one.  Every other
+    input is colored through star and raises what star raises.
     """
-    return oracle.color(star(make_string(oracle.r, l), indices))
+    pattern = make_string(oracle.r, l)
+    idx = tuple(indices)
+    if not (oracle.order_invariant and is_increasing_naturals(idx, len(pattern))):
+        return oracle.color(star(pattern, idx))
+    levels = vars(oracle).setdefault("_level_colors", {})
+    color = levels.get(l)
+    if color is None:
+        # An error raised here stores nothing.
+        color = levels[l] = oracle.color(star(pattern, idx))
+    return color
 
 
 @dataclass(frozen=True)

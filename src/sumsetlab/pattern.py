@@ -130,6 +130,22 @@ def make_string(r: int, l: int) -> PatternString:
     return PatternString(r=r, l=l, values=(2,) * (2 * l) + (4,) * (r - l))
 
 
+def is_increasing_naturals(idx: tuple, length: int) -> bool:
+    """True iff idx has the given length and is strictly increasing ints >= 0.
+
+    This is star's fast-path test for a PatternString, so bools, which are
+    ints by subclass but not by type, fail it.
+    """
+    if len(idx) != length:
+        return False
+    previous = -1
+    for index in idx:
+        if type(index) is not int or index <= previous:
+            return False
+        previous = index
+    return True
+
+
 def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable[int]) -> QVec:
     """Place values on an index set: the k-th smallest index carries values[k].
 
@@ -143,14 +159,8 @@ def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable
     trusted = isinstance(values, PatternString)
     vals = values.rationals if trusted else tuple(values)
     idx = tuple(indices)
-    if trusted and len(idx) == len(vals):
-        previous = -1
-        for index in idx:
-            if type(index) is not int or index <= previous:
-                break
-            previous = index
-        else:
-            return QVec._from_sorted(tuple(zip(idx, vals)))
+    if trusted and is_increasing_naturals(idx, len(vals)):
+        return QVec._from_sorted(tuple(zip(idx, vals)))
     if len(idx) != len(set(idx)):
         raise ValueError(f"indices must be pairwise distinct, got {idx!r}")
     if len(vals) != len(idx):

@@ -24,6 +24,7 @@ plain enumerator that shares no logic with the searches.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
@@ -51,7 +52,7 @@ class TupleColoring:
         if cached is None:
             if len(key) != self.arity:
                 raise ValueError(f"expected arity {self.arity}, got {len(key)}")
-            if any(a >= b for a, b in zip(key, key[1:])):
+            if not all(map(operator.lt, key, key[1:])):
                 raise ValueError(f"tuple must be strictly increasing, got {key}")
             cached = self.evaluate(key)
             if not 0 <= cached < self.colors:

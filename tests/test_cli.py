@@ -18,8 +18,12 @@ from pathlib import Path
 
 import pytest
 
+import sumsetlab.cli
+import sumsetlab.ramsey
 import sumsetlab.search
+from conftest import PositionCutOracle
 from sumsetlab.cli import (
+    EXIT_BUDGET,
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_USAGE,
@@ -27,6 +31,8 @@ from sumsetlab.cli import (
     main,
     resolve_descriptor,
 )
+from sumsetlab.oracle import SeededHashOracle
+from sumsetlab.pipeline_r import system_from_universe
 
 
 def run_ok(argv):
@@ -92,6 +98,48 @@ def test_construct2_not_found_leaves_no_output(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_construct2_budget_cutoff_has_its_own_exit_code(tmp_path, capsys):
+    # A budget of one node cannot finish the search, so nothing is claimed
+    # either way: exit 4, not the exhaustive "not found" of exit 2.
+    cert = tmp_path / "c2.json"
+    code = main(["construct2", "--oracle", "seeded-hash:7", "--n", "16", "--m", "5",
+                 "--budget", "1", "--out", str(cert)])
+    assert code == EXIT_BUDGET
+    assert "(exhaustive=False, stage=homogenize)" in capsys.readouterr().err
+    assert not cert.exists()
+
+
+def _undeclared(oracle):
+    """The same oracle as an instance of a subclass that does not declare
+    order_invariant, so derived colors every tuple through star."""
+    cls = type(oracle)
+    oracle.__class__ = type(f"Undeclared{cls.__name__}", (cls,), {"order_invariant": False})
+    return oracle
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct2", "--oracle", "four-count", "--n", "60", "--m", "10"],
+    ["construct2", "--oracle", "floor-sum", "--n", "60", "--m", "10"],
+    ["ramsey", "--oracle", "floor-sum", "--r", "2", "--level", "2", "--n", "40", "--m", "12"],
+    ["construct-r", "--oracle", "order-invariant-wrapper:seeded-hash", "--seed", "3",
+     "--r", "4", "--n", "48", "--m", "4"],
+], ids=["construct2-four-count", "construct2-floor-sum", "ramsey", "construct-r"])
+def test_level_color_table_leaves_certificates_unchanged(argv, tmp_path, monkeypatch):
+    fast, plain = tmp_path / "fast.json", tmp_path / "plain.json"
+    run_ok([*argv, "--out", str(fast)])
+    declared, made = sumsetlab.cli.make_oracle, []
+
+    def make_undeclared(descriptor, r):
+        made.append(_undeclared(declared(descriptor, r)))
+        return made[-1]
+
+    monkeypatch.setattr(sumsetlab.cli, "make_oracle", make_undeclared)
+    run_ok([*argv, "--out", str(plain)])
+    assert made and not any(o.order_invariant for o in made)
+    assert "_level_colors" not in vars(made[0])
+    assert fast.read_bytes() == plain.read_bytes()
+
+
 def test_construct2_embeds_resolved_seed(tmp_path):
     cert = tmp_path / "c2.json"
     run_ok(
@@ -149,6 +197,24 @@ def test_construct_r_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_construct_r_budget_cutoff_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    # The position-cut coloring needs last_step to select positions; with
+    # ramsey's implicit cap forced to zero subsets that scan stops at once.
+    n, cut = 45, 9
+    monkeypatch.setattr(
+        sumsetlab.cli, "make_oracle",
+        lambda d, r: PositionCutOracle(r, system_from_universe(r, n), cut=cut),
+    )
+    argv = ["construct-r", "--oracle", "position-cut", "--r", "3", "--n", str(n), "--m", "3"]
+    run_ok([*argv, "--out", str(tmp_path / "ok.json")])
+    monkeypatch.setattr(sumsetlab.ramsey, "FULL_SCAN_ARITY", -1)
+    monkeypatch.setattr(sumsetlab.ramsey, "TRUNCATED_BUDGET", 0)
+    cert = tmp_path / "cr.json"
+    assert main([*argv, "--out", str(cert)]) == EXIT_BUDGET
+    assert "(exhaustive=False, stage=last_step)" in capsys.readouterr().err
+    assert not cert.exists()
+
+
 def test_construct_r_not_found_leaves_no_output(tmp_path, capsys):
     # Blocks of 5 afford 3 members per family, fewer than m = 6.
     cert = tmp_path / "cr.json"
@@ -204,12 +270,12 @@ def test_ramsey_names_the_implicit_cap(capsys):
     # scan stops at ramsey.TRUNCATED_BUDGET subsets and must say so.
     argv = ["ramsey", "--oracle", "seeded-hash:1", "--r", "2", "--level", "2", "--n", "40",
             "--m", "14", "--method", "brute"]
-    assert main(argv) == EXIT_NOT_FOUND
+    assert main(argv) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert err.startswith("no homogeneous set: budget exceeded (exhaustive=False); ")
     assert "implicit cap of 200,000 subsets" in err
     assert "--budget raises it" in err
-    assert main([*argv, "--budget", "1000"]) == EXIT_NOT_FOUND
+    assert main([*argv, "--budget", "1000"]) == EXIT_BUDGET
     assert capsys.readouterr().err == "no homogeneous set: budget exceeded (exhaustive=False)\n"
 
 
@@ -612,6 +678,19 @@ def test_verify_rejects_tampered_ramsey_color(tmp_path, capsys):
         (lambda p: p.update(top=99), EXIT_USAGE, MALFORMED),
         (lambda p: p["config"].update(n=7), EXIT_USAGE, MALFORMED),
     ])
+
+
+def test_verify_ramsey_does_not_trust_the_order_invariant_declaration(
+    tmp_path, capsys, monkeypatch
+):
+    # A false declaration makes derived give every level tuple the color of
+    # the first one, so ramsey claims a set that the direct re-check refutes.
+    monkeypatch.setattr(SeededHashOracle, "order_invariant", True)
+    cert = tmp_path / "ram.json"
+    run_ok(["ramsey", "--oracle", "seeded-hash:1", "--r", "2", "--level", "1", "--n", "12",
+            "--m", "6", "--out", str(cert)])
+    assert main(["verify", str(cert)]) == EXIT_VERIFY
+    assert capsys.readouterr().err.startswith("certificate unsound: tuple ")
 
 
 def test_verify_unknown_or_broken_files(tmp_path, capsys):

@@ -161,6 +161,65 @@ def test_derived_agrees_with_direct_star_recomputation():
                     assert derived(o, l, tup) == expected
 
 
+# One descriptor per make_oracle kind that declares order_invariant.
+ORDER_INVARIANT_DESCRIPTORS = (
+    "support-size",
+    "four-count",
+    "floor-sum",
+    "constant:1",
+    "order-invariant-wrapper:seeded-hash:7",
+)
+
+
+def _outcome(call):
+    """The value a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _derived_kinds(r):
+    """Every built-in kind, strict tables over the level patterns included."""
+    table = level_pattern_table(r, [l % r for l in range(r + 1)])
+    return [
+        *(make_oracle(d, r) for d in (*ORDER_INVARIANT_DESCRIPTORS, "seeded-hash:7")),
+        LookupTableOracle(r, table),
+        OrderInvariantOracle(LookupTableOracle(r, table)),
+    ]
+
+
+index_sets = st.one_of(
+    st.sets(st.integers(0, 12), min_size=1, max_size=6).map(sorted),
+    st.lists(st.one_of(st.integers(-2, 12), st.booleans()), max_size=6),
+)
+levels = st.one_of(st.integers(-1, 4), st.sampled_from((1.0, True, False)))
+
+
+@given(st.sampled_from((2, 3)), st.lists(st.tuples(levels, index_sets), max_size=12))
+def test_derived_matches_star_for_every_kind_and_input(r, queries):
+    # One long-lived oracle per kind answers the whole run of queries, so a
+    # level color kept by an earlier query is what a later one sees.
+    for o in _derived_kinds(r):
+        for l, idx in queries:
+            # color keeps nothing, so o itself gives the direct answer.
+            expected = _outcome(lambda: o.color(star(make_string(r, l), idx)))
+            assert _outcome(lambda: derived(o, l, idx)) == expected
+
+
+def test_wrapper_over_a_table_without_one_level_raises_only_there():
+    table = level_pattern_table(2, (0, 1, 1))
+    del table[star(make_string(2, 1), range(3)).serialize()]
+    o = OrderInvariantOracle(LookupTableOracle(2, table))
+    for _ in range(2):
+        for tup in combinations(range(6), 3):
+            with pytest.raises(UnmappedVector):
+                derived(o, 1, tup)
+        assert [derived(o, 0, tup) for tup in combinations(range(6), 2)] == [0] * 15
+        assert [derived(o, 2, tup) for tup in combinations(range(6), 4)] == [1] * 15
+    assert vars(o)["_level_colors"] == {0: 0, 2: 1}
+
+
 def _state(oracle):
     return {
         key: _state(value) if isinstance(value, ColoringOracle) else copy.deepcopy(value)
@@ -183,7 +242,7 @@ def _squashed(v):
 
 
 def test_order_invariant_wrapper_keeps_only_its_last_color():
-    # The wrapper's one memo entry must be invisible: in order, shuffled and
+    # The wrapper keeps no state of its own: in order, shuffled and
     # repeated, every color is the inner color of the squashed vector.
     # The mirrored vectors give a second value sequence to alternate with.
     pairs = combinations(range(80), 2)
@@ -196,7 +255,15 @@ def test_order_invariant_wrapper_keeps_only_its_last_color():
         colors = [o.color(v) for v in batch]
         assert colors == [inner.color(_squashed(v)) for v in batch]
         assert [o.color(v) for v in batch] == colors
-    assert set(vars(o)) <= {"r", "kind", "inner", "_last"}
+    assert set(vars(o)) == {"r", "kind", "inner"}
+    # derived keeps the level colors, at most r + 1 of them, on the oracle.
+    assert [derived(o, l, range(7, 10 + l)) for l in range(4)] == [
+        inner.color(star(make_string(3, l), range(3 + l))) for l in range(4)
+    ]
+    assert set(vars(o)) == {"r", "kind", "inner", "_level_colors"}
+    assert vars(o)["_level_colors"] == {
+        l: inner.color(star(make_string(3, l), range(3 + l))) for l in range(4)
+    }
 
 
 @given(
@@ -251,7 +318,8 @@ class _CountingHash(SeededHashOracle):
 
 
 class _SquashEveryQuery(ColoringOracle):
-    """The order-invariant wrapper without a memo."""
+    """The order-invariant wrapper without the order_invariant declaration,
+    so derived colors every level tuple through star."""
 
     def __init__(self, inner):
         super().__init__(inner.r, "order-invariant-wrapper")
@@ -302,12 +370,37 @@ def test_table_file_rejects_malformed_lines(tmp_path):
         make_oracle(f"external-table-file:{path}", 2)
 
 
+def test_order_invariant_is_declared_by_exactly_these_kinds(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_text("")
+    descriptors = (
+        *ORDER_INVARIANT_DESCRIPTORS,
+        "seeded-hash:7",
+        f"lookup-table:{table}",
+        f"external-table-file:{table}",
+        f"order-invariant-wrapper:lookup-table:{table}",
+    )
+    oracles = [make_oracle(d, 3) for d in descriptors] + [LookupTableOracle(3, {})]
+    assert {o.kind for o in oracles if o.order_invariant} == {
+        "support-size", "four-count", "floor-sum", "constant", "order-invariant-wrapper"
+    }
+    assert {o.kind for o in oracles if not o.order_invariant} == {
+        "seeded-hash", "lookup-table", "external-table-file"
+    }
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ORDER_INVARIANT_DESCRIPTORS,
+    ids=["support-size", "four-count", "floor-sum", "constant", "wrapper"],
+)
 @given(
     qvecs,
     st.sets(st.integers(min_value=0, max_value=200), min_size=0, max_size=10),
 )
-def test_order_invariant_wrapper_ignores_relabeling(v, fresh):
-    o = OrderInvariantOracle(SeededHashOracle(3, 7))
+def test_order_invariant_wrapper_ignores_relabeling(descriptor, v, fresh):
+    o = make_oracle(descriptor, 3)
+    assert o.order_invariant
     source = v.support
     if len(fresh) < len(source):
         return
