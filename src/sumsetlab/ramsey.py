@@ -8,9 +8,11 @@ candidate top t, grow a set of points that agree with t in the last slot of
 every tuple, and then extract a monochromatic set for the reduced coloring
 g(y) = f(y, t); dead ends backtrack, and with an unbounded budget the
 procedure is a complete decision method for "some m members plus a top are
-fully constant".  Agreement is checked incrementally: the candidates passed
-down to a chain already agree with t on every tuple y that avoids the
-newest chain point, so only the y through that point are colored.
+fully constant".  Extraction runs at every maximal chain and, earlier, on
+every chain of exactly m points, which is the set a maximal chain through it
+would yield first.  Agreement is checked incrementally: the candidates
+passed down to a chain already agree with t on every tuple y that avoids
+the newest chain point, so only the y through that point are colored.
 multi_homogeneous runs the end-agreement search on the first coloring,
 tests every other coloring for constancy on the m + 1 points it found, and
 otherwise falls back to the same lexicographic scan as brute_homogeneous,
@@ -165,6 +167,18 @@ def brute_homogeneous(
     )
 
 
+def _extract(coloring: TupleColoring, reduced: TupleColoring, m: int, top: int, chain: list[int]):
+    """The least m-subset of chain on which reduced is constant, as members
+    below top and re-checked against coloring; None when there is none."""
+    found = brute_homogeneous(reduced, m, points=chain)
+    if not isinstance(found, HomogeneousSet):
+        return None
+    result = HomogeneousSet(members=found.members, top=top, colors=found.colors)
+    if verify_homogeneous([coloring], result.members, result.top) is not None:
+        raise RuntimeError("extracted set failed independent verification")
+    return result
+
+
 def greedy_end_homogeneous(
     coloring: TupleColoring, m: int, points: Sequence[int] | None = None, budget: int | None = None
 ):
@@ -178,6 +192,14 @@ def greedy_end_homogeneous(
     top t; otherwise it backtracks.  With an unexhausted budget a NotFound
     means no m members plus top are fully constant anywhere in the points.
 
+    A chain of exactly m points is extracted from at once, before it grows:
+    the first leaf below it is its leftmost maximal chain, which starts with
+    these m points, and brute_homogeneous tests them first.  So a success
+    there is the set the leaf would return, and failures, node counts and
+    exhaustive flags are those of extracting at maximal chains only, except
+    that a budget which would run out on the way to that leaf no longer
+    stops the search from returning the set.
+
     Invariant: a chain receives its parent's viable points above its newest
     point, and each of them already agrees with t on every y that avoids
     the newest point.  So a chain checks only y = z + (chain[-1],) for the
@@ -189,6 +211,8 @@ def greedy_end_homogeneous(
     n = coloring.arity
     if n < 2:
         raise ValueError(f"end-agreement search needs arity >= 2, got {n}")
+    if m < n - 1:
+        raise ValueError(f"target size {m} below arity {n - 1}")
     pts = sorted(points) if points is not None else list(range(coloring.universe))
     cap = _effective_budget(budget, len(pts), n)
     nodes = 0
@@ -198,6 +222,10 @@ def greedy_end_homogeneous(
         nodes += 1
         if nodes > cap:
             raise _BudgetExceeded
+        if len(chain) == m:
+            result = _extract(coloring, reduced, m, top, chain)
+            if result is not None:
+                return result
         viable = candidates
         if chain:
             newest, head = chain[-1], chain[:-1]
@@ -210,13 +238,7 @@ def greedy_end_homogeneous(
                 )
             ]
         if not viable:
-            found = brute_homogeneous(reduced, m, points=chain)
-            if isinstance(found, HomogeneousSet):
-                result = HomogeneousSet(members=found.members, top=top, colors=found.colors)
-                if verify_homogeneous([coloring], result.members, result.top) is not None:
-                    raise RuntimeError("extracted set failed independent verification")
-                return result
-            return None
+            return _extract(coloring, reduced, m, top, chain)
         for i, alpha in enumerate(viable):
             result = grow(top, viable[i + 1 :], chain + [alpha], reduced)
             if result is not None:
@@ -224,23 +246,28 @@ def greedy_end_homogeneous(
         return None
 
     truncated = False
-    for top in reversed(pts):
-        below = [p for p in pts if p < top]
-        if len(below) < m:
-            continue
-        reduced = TupleColoring(
-            arity=n - 1,
-            colors=coloring.colors,
-            universe=coloring.universe,
-            evaluate=lambda y, t=top: coloring.color(y + (t,)),
-        )
-        try:
-            result = grow(top, below, [], reduced)
-        except _BudgetExceeded:
-            truncated = True
-            break
-        if result is not None:
-            return result
+    try:
+        for top in reversed(pts):
+            below = [p for p in pts if p < top]
+            if len(below) < m:
+                continue
+            reduced = TupleColoring(
+                arity=n - 1,
+                colors=coloring.colors,
+                universe=coloring.universe,
+                evaluate=lambda y, t=top: coloring.color(y + (t,)),
+            )
+            try:
+                result = grow(top, below, [], reduced)
+            except _BudgetExceeded:
+                truncated = True
+                break
+            if result is not None:
+                return result
+    finally:
+        # grow reaches itself through its closure cell; clearing the cell
+        # frees the searched coloring and its memo without a cyclic collection.
+        del grow
     return NoHomogeneousSet(
         reason="budget exceeded" if truncated else "every top candidate exhausted",
         exhaustive=not truncated,

@@ -287,6 +287,17 @@ def test_ramsey_level_out_of_range(capsys):
     assert "level must lie in 0..2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["12", "2"])
+def test_ramsey_greedy_target_below_reduced_arity_is_a_usage_error(capsys, n):
+    # Also with no top candidate at all (n = 2): the size is refused before
+    # any search, not reported as an exhausted one.
+    code = main(
+        ["ramsey", "--oracle", "floor-sum", "--r", "2", "--level", "2", "--n", n, "--m", "2"]
+    )
+    assert code == EXIT_USAGE
+    assert "target size 2 below arity 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -1,12 +1,14 @@
 """Homogeneous-set searches: brute scan, end-agreement greedy, multi-level."""
 
+import gc
 import math
 import random
+import weakref
 from itertools import combinations
 
 import pytest
 
-from sumsetlab.oracle import FourCountOracle
+from sumsetlab.oracle import FloorSumOracle, FourCountOracle
 from sumsetlab.pipeline2 import derived_tuple_colorings
 from sumsetlab.ramsey import (
     FULL_SCAN_ARITY,
@@ -107,6 +109,55 @@ def test_greedy_constant_takes_least_members_and_first_top():
 def test_greedy_needs_arity_at_least_two():
     with pytest.raises(ValueError):
         greedy_end_homogeneous(constant_coloring(1, 6), 2)
+
+
+def test_greedy_below_reduced_arity_is_rejected_before_searching():
+    # The reduced coloring has arity 3, so m = 2 is too small whether or
+    # not the universe leaves room for any top candidate.
+    for universe in (12, 2):
+        with pytest.raises(ValueError, match="target size 2 below arity 3"):
+            greedy_end_homogeneous(constant_coloring(4, universe), 2)
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [(lambda: constant_coloring(3, 10), None), (pentagon_coloring, None), (pentagon_coloring, 1)],
+    ids=["found", "exhausted", "budget"],
+)
+def test_greedy_frees_the_coloring_without_cyclic_collection(make, budget):
+    coloring = make()
+    ref = weakref.ref(coloring)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        greedy_end_homogeneous(coloring, 3, budget=budget)
+        del coloring
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_greedy_stops_once_the_first_m_chain_points_are_constant():
+    # Extracting only at the maximal chain (all 39 points below the top)
+    # colors 90,687 tuples here; extracting at 12 chain points, 5,170.
+    evaluated = set()
+    f = TupleColoring(4, 2, 40, lambda t: evaluated.add(t) or 0)
+    found = greedy_end_homogeneous(f, 12)
+    assert found.members == tuple(range(12)) and found.top == 39
+    assert len(evaluated) <= 6_000
+
+
+def test_multi_floor_sum_colors_fewer_tuples():
+    # Extracting only at maximal chains colors 14,574 distinct tuples over
+    # the three levels; extracting at m chain points, 7,073.
+    evaluated = set()
+    fs = derived_tuple_colorings(FloorSumOracle(2), 140)
+    for f in fs:
+        f.evaluate = lambda t, inner=f.evaluate: evaluated.add(t) or inner(t)
+    found = multi_homogeneous(fs, 18)
+    assert found == HomogeneousSet(members=tuple(range(18)), top=139, colors=(0, 0, 0))
+    assert len(evaluated) <= 8_000
 
 
 def test_greedy_parity_coloring_set_is_fully_constant():
@@ -308,8 +359,12 @@ class RecordingColoring(TupleColoring):
 
 
 def test_incremental_end_agreement_matches_full_recheck():
+    # The reference extracts only at maximal chains; the search also
+    # extracts from a chain of exactly m points, which finds the same set
+    # sooner.  So where the reference's budget runs out on the way to that
+    # leaf, the search may instead return the unbudgeted reference's set.
     rng = random.Random(20261018)
-    outcomes = {"found": 0, "exhausted": 0, "budget": 0}
+    outcomes = {"found": 0, "exhausted": 0, "budget": 0, "budget, found now": 0}
     for run in range(240):
         arity = 2 + run % 3
         universe = rng.randint(arity + 3, 12 if arity == 4 else 14)
@@ -326,15 +381,23 @@ def test_incremental_end_agreement_matches_full_recheck():
         ref = RecordingColoring(arity, colors, universe, table)
         outcome = greedy_end_homogeneous(ours, m, points=points, budget=budget)
         expected = reference_greedy_end_homogeneous(ref, m, points=points, budget=budget)
-        assert outcome == expected, (run, arity, universe, m, budget)
         assert ours.evaluated <= ref.evaluated
         assert ours.calls <= ref.calls
-        if isinstance(outcome, HomogeneousSet):
-            outcomes["found"] += 1
+        if isinstance(expected, HomogeneousSet) or expected.exhaustive:
+            assert outcome == expected, (run, arity, universe, m, budget)
+            outcomes["found" if isinstance(outcome, HomogeneousSet) else "exhausted"] += 1
+        elif outcome == expected:
+            outcomes["budget"] += 1
         else:
-            outcomes["exhausted" if outcome.exhaustive else "budget"] += 1
-    # The sample reaches every kind of outcome.
-    assert min(outcomes.values()) >= 10, outcomes
+            full = RecordingColoring(arity, colors, universe, table)
+            unbudgeted = reference_greedy_end_homogeneous(full, m, points=points)
+            assert isinstance(unbudgeted, HomogeneousSet), (run, arity, universe, m, budget)
+            assert outcome == unbudgeted, (run, arity, universe, m, budget)
+            outcomes["budget, found now"] += 1
+    # The sample reaches every kind of outcome; the seed gives 9 budget
+    # cut-offs that now find the set.
+    assert min(outcomes["found"], outcomes["exhausted"], outcomes["budget"]) >= 10, outcomes
+    assert outcomes["budget, found now"] >= 5, outcomes
 
 
 def test_incremental_end_agreement_colors_fewer_tuples():
