@@ -5,7 +5,8 @@ worker counts) in its primary output, and identical configurations yield
 byte-identical outputs whatever the parallelism.  Exit codes are machine
 readable: 0 success, 1 usage or parse problem, 2 a search or pipeline
 came up empty after a complete search, 3 a verification failed, 4 a
-search or pipeline stopped at its budget before finding anything.
+search or pipeline stopped at its budget before finding anything (for
+search, the table is written and some row is UNDECIDED).
 
 The single --seed (default 0) is the only randomness inlet: a bare
 "seeded-hash" oracle descriptor picks it up, and descriptors written into
@@ -33,7 +34,13 @@ from .ramsey import (
     brute_homogeneous,
     greedy_end_homogeneous,
 )
-from .search import DEFAULT_CHECKPOINT_INTERVAL, threshold_scan, write_csv, write_text_atomic
+from .search import (
+    DEFAULT_CHECKPOINT_INTERVAL,
+    UNDECIDED,
+    threshold_scan,
+    write_csv,
+    write_text_atomic,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,6 +194,9 @@ def cmd_search(args) -> int:
     )
     comments = [f"{key}={config[key]}" for key in sorted(config)]
     write_csv(records, args.out, header_comments=comments)
+    undecided = [record.M for record in records if record.verdict == UNDECIDED]
+    if undecided:
+        return _fail(f"the budget left M={undecided} UNDECIDED", EXIT_BUDGET)
     return EXIT_OK
 
 
@@ -322,7 +332,9 @@ def build_parser() -> _Parser:
     ps.add_argument("--r", type=int, required=True, help="colors")
     ps.add_argument("--m-max", type=int, required=True, help="largest universe 1..M")
     ps.add_argument("--budget", type=int, default=None)
-    ps.add_argument("--x-max", type=int, default=None, help="largest element X may use")
+    ps.add_argument(
+        "--x-max", type=int, default=None, help="largest element X may use, at most M // 2 per M"
+    )
     ps.add_argument("--workers", type=int, default=1)
     ps.add_argument("--checkpoint", default=None, help="JSON state file")
     ps.add_argument("--checkpoint-interval", type=int, default=DEFAULT_CHECKPOINT_INTERVAL)

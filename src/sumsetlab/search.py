@@ -7,7 +7,11 @@ colored universe; the bound is a parameter because that finitization
 convention is a choice, not a theorem.
 
 find_bad_coloring hunts for a bad coloring by depth-first search over
-assignments of positions 1, 2, ..., M, with two exact devices:
+assignments of positions 1, 2, ..., M.  The search is one loop over an
+explicit stack that holds, per position, the colors still to try, the
+colors used below it, the color in place and the strikes that color made,
+so its depth is not bounded by the interpreter's recursion limit.  It has
+two exact devices:
 
 - Value symmetry.  Color names are interchangeable, so a free position
   may take a color already used or the least unused one; colors then first
@@ -26,10 +30,12 @@ reported.
 threshold_scan drives the hunt for M = 1..M_max and classifies each M as
 ESCAPABLE (a verified bad coloring exists), FORCED (the search space was
 exhausted: every coloring admits a monochromatic sumset), or UNDECIDED
-(budget ran out).  The coloring space is always split into the same fixed
-prefix tasks whatever the worker count, each task gets the full budget,
-and the first witness in task order wins, so results are reproducible
-bit for bit under any parallelism.  FORCED
+(budget ran out).  X ranges over {1..min(x_max, floor(M/2))} at each M.
+The coloring space is always split into the same fixed prefix tasks
+whatever the worker count, each task gets the full budget (a task resumed
+from a checkpoint gets what its earlier run left of it), and the first
+witness in task order wins, so results are reproducible bit for bit under
+any parallelism, and with or without kills and resumes.  FORCED
 verdicts are monotone in M; the scan asserts this and aborts loudly on a
 violation, since one would mean the X-range convention was broken
 somewhere, or, when the FORCED row was read from a checkpoint, that the
@@ -133,10 +139,6 @@ class BadSearch:
         return self.coloring is not None
 
 
-class _SearchBudget(Exception):
-    pass
-
-
 def _strike_table(k: int, M: int, limit: int) -> tuple[list[list[int]], list[list[int]]]:
     """Forward-checking table for k >= 2: masks[p][i] and targets[p][i] are
     mask and 2x for each k-subset X of {1..limit}, x = max(X), where mask
@@ -191,15 +193,17 @@ def find_bad_coloring(
     _strike_table) are now all c; a struck color is skipped, and a position
     with every color struck kills the subtree at once; for k = 1 that is
     position 2, up front.  nodes counts one per color assigned, including the
-    one that crosses the budget; skipped colors are not nodes.
+    one that crosses the budget; skipped colors are not nodes.  The walk is
+    one loop over an explicit stack with a slot per position, so M is not
+    bounded by the interpreter's recursion limit.
 
     forced_prefix pins the colors of the first positions (the task
     decomposition hook); it may break the first-use order, and the free
     positions after it follow the rule above from its colors.
     resume_from fast-forwards to a previously checkpointed assignment
-    prefix, skipping every branch the earlier run already cleared.  The
-    checkpoint callback receives (assignment prefix, nodes) every
-    checkpoint_interval nodes.
+    prefix P, skipping every branch the earlier run already cleared; it
+    spends len(P) nodes on assigning P again.  The checkpoint callback
+    receives (assignment prefix, nodes) every checkpoint_interval nodes.
     """
     if k < 1 or r < 1 or M < 0:
         raise ValueError("need k >= 1, r >= 1, M >= 0")
@@ -223,73 +227,69 @@ def find_bad_coloring(
     # X + X at position t; holders[c]: bitmask of the positions colored c.
     struck = [0] * (M + 1)
     holders = [0] * r
-    assignment = [0] * M
+    # The DFS stack, one slot per position p: options[p] holds the colors
+    # still to try at p, used[p] the colors used below p, marks[p] the color
+    # in place at p (0 before p is reached) and newly[p] its strikes.
+    options = [0] * (M + 1)
+    used = [0] * (M + 2)
+    marks = [0] * (M + 2)
+    newly: list[list[int]] = [[]] * (M + 1)
     nodes = 0
-
-    def walk(pos: int, used: int, on_resume_path: bool):
-        nonlocal nodes
-        if pos > M:
-            candidate = NatColoring(r=r, colors=tuple(assignment))
+    # Lexicographic order: once the walk leaves resume_from's path, it never returns.
+    on_resume_path = resume_from is not None
+    pos = 1
+    while pos:
+        mark = marks[pos]
+        if mark:  # back at pos: take back the color in place
+            for target in newly[pos]:
+                struck[target] ^= mark
+            holders[mark.bit_length() - 1] ^= 1 << pos
+            left = options[pos]
+        elif pos > M:
+            candidate = NatColoring(r, tuple(m.bit_length() - 1 for m in marks[1:pos]))
             if has_mono_sumset(candidate, k, x_max=limit) is not None:
                 raise RuntimeError(
                     "pruning admitted a coloring with a monochromatic sumset; "
                     "the X-range convention is broken"
                 )
-            return candidate
-        if pos <= len(forced_prefix):
-            options = 1 << forced_prefix[pos - 1]
-        else:
-            # the used colors plus the least unused one
-            options = (used | (used + 1)) & every_color
-        options &= ~struck[pos]
-        resuming_here = (
-            on_resume_path and resume_from is not None and pos <= len(resume_from)
-        )
-        if resuming_here:
-            options &= -1 << resume_from[pos - 1]
-        here = 1 << pos
-        while options:
-            mark = options & -options
-            options ^= mark
-            color = mark.bit_length() - 1
-            assignment[pos - 1] = color
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _SearchBudget
-            if checkpoint is not None and nodes % checkpoint_interval == 0:
-                checkpoint(tuple(assignment[:pos]), nodes)
-            mine = holders[color] | here
-            holders[color] = mine
-            newly = []
-            for mask, target in zip(masks[pos], targets[pos]):
-                if mask & mine == mask and not struck[target] & mark:
-                    struck[target] |= mark
-                    newly.append(target)
-                    if struck[target] == every_color:
-                        break
-            else:  # no position lost its last color
-                result = walk(
-                    pos + 1,
-                    used | mark,
-                    resuming_here and color == resume_from[pos - 1],
-                )
-                if result is not None:
-                    return result
-            for target in newly:
-                struck[target] ^= mark
-            holders[color] = mine ^ here
-        return None
-
-    try:
-        witness = walk(1, 0, resume_from is not None)
-    except _SearchBudget:
-        return BadSearch(coloring=None, exhausted=False, nodes=nodes)
-    finally:
-        # walk refers to itself; breaking the cycle frees the tables now
-        # rather than at the next cyclic collection.
-        del walk
-    if witness is not None:
-        return BadSearch(coloring=witness, exhausted=False, nodes=nodes)
+            return BadSearch(coloring=candidate, exhausted=False, nodes=nodes)
+        else:  # just reached from pos - 1
+            if pos <= len(forced_prefix):
+                left = 1 << forced_prefix[pos - 1]
+            else:
+                # the used colors plus the least unused one
+                left = (used[pos] | (used[pos] + 1)) & every_color
+            left &= ~struck[pos]
+            on_resume_path = on_resume_path and pos <= len(resume_from)
+            if on_resume_path:
+                left &= -1 << resume_from[pos - 1]
+        if not left:
+            marks[pos] = 0
+            pos -= 1
+            continue
+        mark = left & -left
+        options[pos] = left ^ mark
+        marks[pos] = mark
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return BadSearch(coloring=None, exhausted=False, nodes=nodes)
+        if checkpoint is not None and nodes % checkpoint_interval == 0:
+            checkpoint(tuple(m.bit_length() - 1 for m in marks[1 : pos + 1]), nodes)
+        color = mark.bit_length() - 1
+        if on_resume_path and color != resume_from[pos - 1]:
+            on_resume_path = False
+        mine = holders[color] | 1 << pos
+        holders[color] = mine
+        newly[pos] = hits = []
+        for mask, target in zip(masks[pos], targets[pos]):
+            if mask & mine == mask and not struck[target] & mark:
+                struck[target] |= mark
+                hits.append(target)
+                if struck[target] == every_color:
+                    break  # kill: the next pass tries the next color at pos
+        else:  # no position lost its last color
+            used[pos + 1] = used[pos] | mark
+            pos += 1
     return BadSearch(coloring=None, exhausted=True, nodes=nodes)
 
 
@@ -301,7 +301,7 @@ class ThresholdRecord:
     verdict: str
     witness: NatColoring | None
     # Every schedule counts the tasks up to the first witness, but a resumed
-    # run counts only the nodes after its checkpoint, so they are diagnostics only.
+    # run skips the tasks its checkpoint marks finished, so they are diagnostics only.
     nodes: int = field(compare=False)
 
     def __post_init__(self):
@@ -405,6 +405,12 @@ def _parallel_results(tasks: list[tuple], workers: int, progress: Callable | Non
             reader.close()
 
 
+def _row_x_max(M: int, x_max: int | None) -> int | None:
+    """The scan's bound on X at M: x_max, capped at M // 2 so that X + X
+    stays inside 1..M; None keeps the M // 2 default."""
+    return None if x_max is None else min(x_max, M // 2)
+
+
 def _scan_one(
     k: int,
     r: int,
@@ -416,17 +422,27 @@ def _scan_one(
     interval: int = DEFAULT_CHECKPOINT_INTERVAL,
 ) -> ThresholdRecord:
     """Classify one M.  With a checkpoint, the tasks its log marks finished
-    are not run again, the others resume from their logged prefix, and
-    every DFS checkpoint of a task is logged and written."""
+    are not run again, the others resume from their logged prefix with what
+    is left of their budget, and every DFS checkpoint of a task is logged
+    and written."""
     prefixes = _task_prefixes(r, M)
     log = [None] * len(prefixes) if checkpoint is None else checkpoint.log_for(M, len(prefixes))
     pending = [i for i, entry in enumerate(log) if not isinstance(entry, bool)]
-    tasks = [(k, r, M, budget, x_max, prefixes[i], log[i], interval) for i in pending]
+    # A task resumed from a prefix P logged after s nodes re-walks P in
+    # len(P) nodes and then retraces the earlier run, which had spent
+    # s - len(P) nodes on the branches it skips.
+    spent = []
+    tasks = []
+    for i in pending:
+        resume_from = None if log[i] is None else log[i]["prefix"]
+        spent.append(0 if log[i] is None else log[i]["nodes"] - len(resume_from))
+        left = None if budget is None else budget - spent[-1]
+        tasks.append((k, r, M, left, _row_x_max(M, x_max), prefixes[i], resume_from, interval))
     progress = None
     if checkpoint is not None:
 
         def progress(n: int, prefix: tuple[int, ...], nodes: int) -> None:
-            log[pending[n]] = list(prefix)
+            log[pending[n]] = {"prefix": list(prefix), "nodes": spent[n] + nodes}
             checkpoint.write()
 
     if workers > 1:
@@ -438,7 +454,7 @@ def _scan_one(
     nodes = 0
     with schedule as results:
         for n, result in enumerate(results):
-            nodes += result.nodes
+            nodes += spent[n] + result.nodes
             if result.found:
                 witness = result.coloring
                 break
@@ -513,9 +529,10 @@ def threshold_scan(
 class _ScanCheckpoint:
     """Persistence for threshold_scan: the completed records and, for the
     M in flight, a log with one entry per task of _task_prefixes: null (not
-    started), the task's last DFS prefix (running), or its exhausted flag
-    (finished without a witness).  The entries are independent, so any
-    number of tasks may be running."""
+    started), {"prefix": the task's last DFS prefix, "nodes": the nodes it
+    had spent there} (running), or its exhausted flag (finished without a
+    witness).  The entries are independent, so any number of tasks may be
+    running."""
 
     def __init__(self, path, k, r, budget, x_max):
         self.path = Path(path)
@@ -536,7 +553,8 @@ class _ScanCheckpoint:
         must be the rows M = 1, 2, ... in order, no ESCAPABLE row may follow
         a FORCED one, and a stored witness must color exactly 1..M and admit
         no monochromatic X + X.  The log must be for the M after the last
-        row, and a logged prefix must agree with its task."""
+        row, a logged prefix must agree with its task, and its node count
+        must cover the prefix and stay within the budget."""
         if loaded["config"] != self.config:
             raise ValueError(f"it was written for config {loaded['config']}")
         k, r, x_max = self.config["k"], self.config["r"], self.config["x_max"]
@@ -553,7 +571,7 @@ class _ScanCheckpoint:
                 witness = NatColoring(r=r, colors=tuple(row["witness"]))
                 if witness.M != M:
                     raise ValueError(f"the M={M} witness colors {witness.M} positions")
-                X = has_mono_sumset(witness, k, x_max=x_max)
+                X = has_mono_sumset(witness, k, x_max=_row_x_max(M, x_max))
                 if X is not None:
                     raise ValueError(f"the M={M} witness makes X={X} monochromatic")
             self.records.append(
@@ -574,12 +592,23 @@ class _ScanCheckpoint:
             tasks = _task_prefixes(r, M)
             if len(log) != len(tasks):
                 raise ValueError(f"the M={M} log has {len(log)} entries for {len(tasks)} tasks")
+            budget = self.config["budget"]
             for task, entry in zip(tasks, log):
+                if isinstance(entry, list):
+                    raise ValueError(
+                        f"the M={M} log has a bare prefix {entry} for task {list(task)}, "
+                        "a format that kept no count of the nodes the task spent"
+                    )
+                prefix = entry.get("prefix") if isinstance(entry, dict) else None
                 running = (
-                    isinstance(entry, list)
-                    and len(entry) <= M
-                    and all(type(c) is int and 0 <= c < r for c in entry)
-                    and tuple(entry[: len(task)]) == task[: len(entry)]
+                    isinstance(prefix, list)
+                    and sorted(entry) == ["nodes", "prefix"]
+                    and len(prefix) <= M
+                    and all(type(c) is int and 0 <= c < r for c in prefix)
+                    and tuple(prefix[: len(task)]) == task[: len(prefix)]
+                    and type(entry["nodes"]) is int
+                    and len(prefix) <= entry["nodes"]
+                    and (budget is None or entry["nodes"] <= budget)
                 )
                 if not (entry is None or isinstance(entry, bool) or running):
                     raise ValueError(f"the M={M} log has {entry!r} for task {list(task)}")

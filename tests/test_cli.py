@@ -375,6 +375,32 @@ def test_search_rejects_checkpoint_contradicted_by_a_fresh_row(tmp_path, capsys)
     assert "its row M=1 is FORCED but a bad coloring exists at M=2" in capsys.readouterr().err
 
 
+def test_search_budget_cutoff_writes_the_table_and_exits_4(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = main(["search", "--k", "2", "--r", "2", "--m-max", "14", "--budget", "30",
+                 "--out", str(out)])
+    assert code == EXIT_BUDGET
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 14
+    assert rows[-1] == "2,2,14,UNDECIDED,"
+    assert "M=[14] UNDECIDED" in capsys.readouterr().err
+
+
+def test_search_refuses_a_bare_prefix_log_naming_the_file(tmp_path, capsys):
+    # Logs kept a bare prefix per running task before they kept its spent
+    # nodes; resuming one would hand the task its whole budget again.
+    state = tmp_path / "state.json"
+    argv = ["search", "--k", "2", "--r", "2", "--checkpoint", str(state),
+            "--out", str(tmp_path / "scan.csv")]
+    run_ok(argv + ["--m-max", "11"])
+    snapshot = json.loads(state.read_text())
+    snapshot["in_flight"] = {"M": 12, "log": [True, [0, 0, 1, 0, 1], None, None]}
+    state.write_text(json.dumps(snapshot))
+    assert main(argv + ["--m-max", "12"]) == EXIT_USAGE
+    assert f"checkpoint {state}: the M=12 log has a bare prefix" in capsys.readouterr().err
+    assert json.loads(state.read_text()) == snapshot
+
+
 class _TornHandle:
     """Writable file that takes half of what it is given, then fails."""
 
@@ -436,7 +462,8 @@ def test_search_torn_checkpoint_write_keeps_previous_and_resumes(tmp_path, monke
     assert state.read_bytes() == torn["before"]
     snapshot = json.loads(state.read_text())
     assert len(snapshot["records"]) == 11
-    assert snapshot["in_flight"] == {"M": 12, "log": [True, [0, 0, 1, 0, 1], None, None]}
+    running = {"prefix": [0, 0, 1, 0, 1], "nodes": 10}
+    assert snapshot["in_flight"] == {"M": 12, "log": [True, running, None, None]}
     assert sorted(p.name for p in (tmp_path / "torn").iterdir()) == ["state.json"]
 
     assert run_in("torn") == EXIT_OK

@@ -179,14 +179,16 @@ def test_find_bad_coloring_checkpoint_callback():
         assert prefix[0] == 0  # color of 1 is pinned
 
 
-def brute_lex_least(k, r, M, prefix=()):
+def brute_lex_least(k, r, M, prefix=(), x_limit=None):
     """Lex-least coloring of {1..M} that starts with prefix and has no
-    monochromatic k-sumset, by brute force over every coloring."""
+    monochromatic k-sumset with X inside {1..x_limit} (default M // 2), by
+    brute force over every coloring."""
+    x_limit = M // 2 if x_limit is None else x_limit
     for tail in product(range(r), repeat=M - len(prefix)):  # ascending
         colors = tuple(prefix) + tail
         if not any(
             all_pair_sums_one_color(colors, X)
-            for X in combinations(range(1, M // 2 + 1), k)
+            for X in combinations(range(1, x_limit + 1), k)
         ):
             return colors
     return None
@@ -212,6 +214,13 @@ def test_non_canonical_forced_prefix_matches_independent_enumeration():
         brute = brute_lex_least(2, 3, M, prefix=(0, 2))
         assert brute is not None
         assert result.coloring.colors == brute
+
+
+def test_find_bad_coloring_depth_is_not_bounded_by_the_call_stack():
+    # far past CPython's default recursion limit of 1000
+    result = find_bad_coloring(2, 2, 5000, x_max=1)
+    assert result.coloring.colors == (0,) * 5000
+    assert result.nodes == 5000
 
 
 def test_resume_from_a_mid_tree_prefix_matches_a_full_run():
@@ -370,6 +379,24 @@ def test_threshold_scan_x_max_zero_is_vacuous():
     assert [rec.witness.colors for rec in records] == [(0,), (0, 0), (0, 0, 0)]
 
 
+def test_threshold_scan_caps_x_max_at_half_of_each_universe(tmp_path):
+    records = threshold_scan(2, 2, 16, x_max=3)
+    assert [rec.M for rec in records] == list(range(1, 17))
+    for rec in records:
+        x_limit = min(3, rec.M // 2)
+        assert rec.verdict == ESCAPABLE
+        assert not any(
+            all_pair_sums_one_color(rec.witness.colors, X)
+            for X in combinations(range(1, x_limit + 1), 2)
+        )
+        if rec.M <= 10:
+            assert rec.witness.colors == brute_lex_least(2, 2, rec.M, x_limit=x_limit)
+    # the checkpoint loader re-checks stored witnesses under the same cap
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 8, x_max=3, checkpoint_path=path)
+    assert threshold_scan(2, 2, 16, x_max=3, checkpoint_path=path) == records
+
+
 def test_threshold_scan_validation():
     with pytest.raises(ValueError):
         threshold_scan(2, 2, 4, workers=0)
@@ -450,7 +477,7 @@ def test_checkpoint_rejects_a_stored_forced_row_below_an_escapable_one(tmp_path)
         threshold_scan(2, 2, 5, checkpoint_path=path)
 
 
-def crash_at_write(path, monkeypatch, at, workers=1, M_max=12, inside=None) -> dict:
+def crash_at_write(path, monkeypatch, at, workers=1, M_max=12, inside=None, budget=None) -> dict:
     """Run the (2, 2) scan to M_max with a checkpoint every 5 nodes, crash at
     the at-th checkpoint write (counting only the writes made while M = inside
     is in flight, when it is given), and return the checkpoint left behind."""
@@ -468,7 +495,7 @@ def crash_at_write(path, monkeypatch, at, workers=1, M_max=12, inside=None) -> d
     monkeypatch.setattr(_ScanCheckpoint, "write", crash_on_write)
     with pytest.raises(RuntimeError, match="simulated crash"):
         threshold_scan(
-            2, 2, M_max, workers=workers, checkpoint_path=path, checkpoint_interval=5
+            2, 2, M_max, budget=budget, workers=workers, checkpoint_path=path, checkpoint_interval=5
         )
     monkeypatch.setattr(_ScanCheckpoint, "write", real_write)
     return json.loads(path.read_text())
@@ -484,11 +511,40 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
     # fast-forward inside the next one.
     assert len(snapshot["records"]) == 11
     assert _task_prefixes(2, 12) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    assert snapshot["in_flight"] == {"M": 12, "log": [True, [0, 0, 1, 0, 1], None, None]}
+    running = {"prefix": [0, 0, 1, 0, 1], "nodes": 10}
+    assert snapshot["in_flight"] == {"M": 12, "log": [True, running, None, None]}
 
     resumed = threshold_scan(2, 2, 12, checkpoint_path=path, checkpoint_interval=5)
     assert resumed == baseline
     assert [rec.witness for rec in resumed] == [rec.witness for rec in baseline]
+
+
+def test_budget_survives_kills_and_resumes(tmp_path, monkeypatch):
+    # Tasks (0, 0, 1) and (0, 1, 0) of M = 14 need 34 nodes each, so a budget
+    # of 30 leaves M = 14 UNDECIDED; a resumed task that got its whole budget
+    # back would finish them and report FORCED.
+    baseline = threshold_scan(2, 2, 14, budget=30, checkpoint_interval=5)
+    assert baseline[-1].verdict == UNDECIDED
+    path = tmp_path / "scan.json"
+    first = crash_at_write(path, monkeypatch, at=8, M_max=14, inside=14, budget=30)
+    second = crash_at_write(path, monkeypatch, at=7, M_max=14, inside=14, budget=30)
+    for snapshot in (first, second):
+        running = [entry for entry in snapshot["in_flight"]["log"] if isinstance(entry, dict)]
+        assert [entry["nodes"] > len(entry["prefix"]) for entry in running] == [True]
+    assert second["in_flight"] != first["in_flight"]
+
+    resumed = threshold_scan(2, 2, 14, budget=30, checkpoint_path=path, checkpoint_interval=5)
+    assert resumed == baseline
+    assert [rec.witness for rec in resumed] == [rec.witness for rec in baseline]
+
+    # A running entry may not claim more nodes than the budget allows.
+    log = second["in_flight"]["log"]
+    n = next(i for i, entry in enumerate(log) if isinstance(entry, dict))
+    log[n] = dict(log[n], nodes=31)
+    path.write_text(json.dumps(second))
+    message = f"checkpoint {path}: the M=14 log has {log[n]!r} for task"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold_scan(2, 2, 14, budget=30, checkpoint_path=path, checkpoint_interval=5)
 
 
 # M = 12 is ESCAPABLE through its second task, so the crash may leave the
@@ -514,8 +570,9 @@ def test_two_worker_crash_resumes_under_either_worker_count(tmp_path, monkeypatc
 
 
 def test_checkpoint_rejects_a_log_the_writer_never_stores(tmp_path, monkeypatch):
-    # The writer logs [True, [0, 0, 1, 0, 1], None, None] for M = 12, whose
-    # tasks are (0, 0, 0), (0, 0, 1), (0, 1, 0) and (0, 1, 1).
+    # The writer logs [True, {"prefix": [0, 0, 1, 0, 1], "nodes": 10}, None,
+    # None] for M = 12, whose tasks are (0, 0, 0), (0, 0, 1), (0, 1, 0) and
+    # (0, 1, 1).
     path = tmp_path / "scan.json"
     snapshot = crash_at_write(path, monkeypatch, at=26)
     assert len(snapshot["records"]) == 11
@@ -523,19 +580,40 @@ def test_checkpoint_rejects_a_log_the_writer_never_stores(tmp_path, monkeypatch)
     def log(*entries, M=12):
         return {"M": M, "log": list(entries)}
 
+    def running(prefix, nodes=10):
+        return {"prefix": prefix, "nodes": nodes}
+
+    def bad(entry):
+        return (log(True, entry, None, None), f"the M=12 log has {entry!r} for task [0, 0, 1]")
+
     too_long = [0, 0, 1] + [0] * 10
     tampered = [
         # wrong length
         (log(True, None, None), "the M=12 log has 3 entries for 4 tasks"),
         (log(*[True] * 5), "the M=12 log has 5 entries for 4 tasks"),
         # a prefix outside its task
-        (log(True, [0, 1, 0, 0], None, None), "the M=12 log has [0, 1, 0, 0] for task [0, 0, 1]"),
-        (log([0, 0], [0, 0, 1, 2], None, None), "the M=12 log has [0, 0, 1, 2] for task [0, 0, 1]"),
-        (log(True, too_long, None, None), f"the M=12 log has {too_long} for task [0, 0, 1]"),
+        bad(running([0, 1, 0, 0])),
+        (
+            log(running([0, 0], 2), running([0, 0, 1, 2]), None, None),
+            f"the M=12 log has {running([0, 0, 1, 2])!r} for task [0, 0, 1]",
+        ),
+        bad(running(too_long, 13)),
         # a wrong entry type
-        (log(True, "0,0,1", None, None), "the M=12 log has '0,0,1' for task [0, 0, 1]"),
-        (log(True, 1, None, None), "the M=12 log has 1 for task [0, 0, 1]"),
-        (log(True, [0, 0, True], None, None), "the M=12 log has [0, 0, True] for task [0, 0, 1]"),
+        bad("0,0,1"),
+        bad(1),
+        bad(running([0, 0, True])),
+        bad(running("0,0,1")),
+        # a node count that is missing, of another type, or below the prefix
+        bad({"prefix": [0, 0, 1, 0, 1]}),
+        bad(dict(running([0, 0, 1, 0, 1]), spent=0)),
+        bad(running([0, 0, 1, 0, 1], nodes="10")),
+        bad(running([0, 0, 1, 0, 1], nodes=True)),
+        bad(running([0, 0, 1, 0, 1], nodes=4)),
+        # the bare prefix that logs stored before they kept node counts
+        (
+            log(True, [0, 0, 1, 0, 1], None, None),
+            "the M=12 log has a bare prefix [0, 0, 1, 0, 1] for task [0, 0, 1]",
+        ),
         # an in-flight M other than rows + 1
         (log(None, None, None, None, M=11), "M=11 is in flight after 11 rows"),
         (log(None, None, None, None, M=13), "M=13 is in flight after 11 rows"),
