@@ -4,7 +4,8 @@ Every run embeds its semantic configuration (not resource knobs like
 worker counts) in its primary output, and identical configurations yield
 byte-identical outputs whatever the parallelism.  Exit codes are machine
 readable: 0 success, 1 usage or parse problem, 2 a search or pipeline
-came up empty after a complete search, 3 a verification failed, 4 a
+came up empty after a complete search, 3 a verification failed (a
+certificate's re-check, or a pipeline's check of its own witness), 4 a
 search or pipeline stopped at its budget before finding anything (for
 search, the table is written and some row is UNDECIDED).
 
@@ -367,6 +368,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnsoundCertificate as exc:
+        # A pipeline's own soundness gate refused its witness (for instance
+        # under a false order_invariant declaration); nothing was written.
+        print(f"{parser.prog}: witness unsound: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -30,14 +30,18 @@ oracle.PipelineFailure; only last_step's scan can be cut off by ramsey's
 budget (exhaustive=False).
 
 Every level tuple is colored through oracle.derived, the single place
-where a level tuple becomes a vector.
+where a level tuple becomes a vector.  When the oracle declares
+order_invariant and every coordinate of the system is a natural,
+derived gives every index-strictly-increasing tuple of a level the color
+of its first one, so check_levels colors that tuple and counts the rest
+with level_size instead of enumerating them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from math import inf
+from math import comb, inf
 from typing import Iterator, Sequence
 
 from .oracle import (
@@ -59,6 +63,7 @@ from .pattern import (
     canonical_tuple,
     families_are_laid_out,
     halved_family,
+    is_increasing_naturals,
     is_index_strictly_increasing,
     is_l_canonical,
     pigeonhole_pair,
@@ -202,12 +207,30 @@ def iter_canonical_tuples(
             yield CanonicalTuple(l, index, primed, tuple(entries))
 
 
+def level_size(r: int, m: int, l: int) -> int:
+    """Number of index-strictly-increasing l-canonical tuples over r
+    families of m members each, as iter_canonical_tuples yields them.
+
+    An index vector holds j >= max(l, 1) rising member positions, the
+    largest being b, and then TOP; there are C(b, j - 1) of them, and each
+    of the l paired blocks has m - b primed choices above b, its top
+    included.  At level 0 the all-TOP vector adds one more.
+    """
+    if not 0 <= l <= r:
+        raise ValueError(f"level {l} out of range for {r} families")
+    return (l == 0) + sum(
+        comb(b, j - 1) * (m - b) ** l for j in range(max(l, 1), r + 1) for b in range(j - 1, m)
+    )
+
+
 @dataclass(frozen=True)
 class LevelReport:
-    """One level of check_levels.  tuple_count is the number of tuples
-    colored: the whole level when it is constant, otherwise up to and
-    including the counterexample's second tuple.  A level with no tuples
-    is not constant and has no counterexample."""
+    """One level of check_levels.  tuple_count is the level's size when it
+    is constant, otherwise the number of tuples colored, up to and
+    including the counterexample's second tuple.  A constant level of an
+    order-invariant oracle on a system of naturals is sized by level_size
+    and only its first tuple is colored.  A level with no tuples is not
+    constant and has no counterexample."""
 
     level: int
     constant: bool
@@ -244,10 +267,19 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
     report ends at the first level that is not constant: tuples after the
     counterexample and the levels above it are never colored, and a strict
     table oracle need not map them.  When every level is constant, every
-    tuple of every level has been colored.
+    tuple of every level has been colored, with one exception.
+
+    When the oracle declares order_invariant and the system's coordinates
+    (each family's members, then its top, in family order) are strictly
+    increasing naturals, every index-strictly-increasing tuple has
+    strictly increasing entries, and derived gives each of them the color
+    of the level's first tuple.  Each level then colors its first tuple
+    only and takes its tuple_count from level_size.
     """
     if oracle.r != sys.r:
         raise ValueError(f"oracle has r={oracle.r}, system has r={sys.r}")
+    coords = tuple(e for f in sys.families for e in (*f.members, f.top))
+    counted = oracle.order_invariant and is_increasing_naturals(coords, len(coords))
     reports = []
     for l in range(sys.r + 1):
         first: tuple[CanonicalTuple, int] | None = None
@@ -258,6 +290,9 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
             c = derived(oracle, l, t.entries)
             if first is None:
                 first = (t, c)
+                if counted:
+                    count = level_size(sys.r, sys.member_count, l)
+                    break
             elif c != first[1]:
                 counterexample = (first[0], first[1], t, c)
                 break

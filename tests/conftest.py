@@ -4,9 +4,11 @@ The pipelines get exercised against colorings with engineered structure:
 some make every stage succeed for a predictable reason, others break one
 specific stage on purpose.  They are ordinary ColoringOracles; they live
 here so the per-module tests and test_acceptance use the same copies.
-level_pattern_table builds the tables behind profile_oracle.  support_of
-and with_support read and mutate a SupportAssignment for the
-coherence-checker tests.
+level_pattern_table builds the tables behind profile_oracle.
+ORDER_INVARIANT_DESCRIPTORS names one oracle of each kind that declares
+order_invariant, and undeclared re-classes an oracle so that it no
+longer declares it.  support_of and with_support read and mutate a
+SupportAssignment for the coherence-checker tests.
 """
 
 from __future__ import annotations
@@ -101,6 +103,24 @@ def profile_oracle(r: int, profile) -> OrderInvariantOracle:
     color.
     """
     return OrderInvariantOracle(LookupTableOracle(r, level_pattern_table(r, profile)))
+
+
+# One descriptor per make_oracle kind that declares order_invariant.
+ORDER_INVARIANT_DESCRIPTORS = (
+    "support-size",
+    "four-count",
+    "floor-sum",
+    "constant:1",
+    "order-invariant-wrapper:seeded-hash:7",
+)
+
+
+def undeclared(oracle: ColoringOracle) -> ColoringOracle:
+    """The same oracle as an instance of a subclass that does not declare
+    order_invariant, so derived colors every tuple through star."""
+    cls = type(oracle)
+    oracle.__class__ = type(f"Undeclared{cls.__name__}", (cls,), {"order_invariant": False})
+    return oracle
 
 
 def support_of(assignment: SupportAssignment, u: Iterable[int]) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ import pytest
 import sumsetlab.cli
 import sumsetlab.ramsey
 import sumsetlab.search
-from conftest import PositionCutOracle
+from conftest import PositionCutOracle, undeclared
 from sumsetlab.cli import (
     EXIT_BUDGET,
     EXIT_NOT_FOUND,
@@ -109,14 +109,6 @@ def test_construct2_budget_cutoff_has_its_own_exit_code(tmp_path, capsys):
     assert not cert.exists()
 
 
-def _undeclared(oracle):
-    """The same oracle as an instance of a subclass that does not declare
-    order_invariant, so derived colors every tuple through star."""
-    cls = type(oracle)
-    oracle.__class__ = type(f"Undeclared{cls.__name__}", (cls,), {"order_invariant": False})
-    return oracle
-
-
 @pytest.mark.parametrize("argv", [
     ["construct2", "--oracle", "four-count", "--n", "60", "--m", "10"],
     ["construct2", "--oracle", "floor-sum", "--n", "60", "--m", "10"],
@@ -130,7 +122,7 @@ def test_level_color_table_leaves_certificates_unchanged(argv, tmp_path, monkeyp
     declared, made = sumsetlab.cli.make_oracle, []
 
     def make_undeclared(descriptor, r):
-        made.append(_undeclared(declared(descriptor, r)))
+        made.append(undeclared(declared(descriptor, r)))
         return made[-1]
 
     monkeypatch.setattr(sumsetlab.cli, "make_oracle", make_undeclared)
@@ -729,6 +721,21 @@ def test_verify_ramsey_does_not_trust_the_order_invariant_declaration(
             "--m", "6", "--out", str(cert)])
     assert main(["verify", str(cert)]) == EXIT_VERIFY
     assert capsys.readouterr().err.startswith("certificate unsound: tuple ")
+
+
+def test_construct_r_refuses_its_own_witness_under_a_false_declaration(
+    tmp_path, capsys, monkeypatch
+):
+    # The level check then trusts the first tuple's color for every level
+    # tuple, but certified_witness colors the sums directly and refuses.
+    monkeypatch.setattr(SeededHashOracle, "order_invariant", True)
+    out = tmp_path / "f.json"
+    code = main(["construct-r", "--oracle", "seeded-hash:0", "--r", "3", "--n", "24",
+                 "--m", "3", "--out", str(out)])
+    assert code == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("sumsetlab: witness unsound: sum ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_unknown_or_broken_files(tmp_path, capsys):

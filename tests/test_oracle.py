@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import level_pattern_table
+from conftest import ORDER_INVARIANT_DESCRIPTORS, level_pattern_table
 from sumsetlab.deltasys import order_iso, relabel
 from sumsetlab.oracle import (
     ColoringOracle,
@@ -159,16 +159,6 @@ def test_derived_agrees_with_direct_star_recomputation():
                 for tup in combinations(range(10), r + l):
                     expected = o.color(star(make_string(r, l), tup))
                     assert derived(o, l, tup) == expected
-
-
-# One descriptor per make_oracle kind that declares order_invariant.
-ORDER_INVARIANT_DESCRIPTORS = (
-    "support-size",
-    "four-count",
-    "floor-sum",
-    "constant:1",
-    "order-invariant-wrapper:seeded-hash:7",
-)
 
 
 def _outcome(call):

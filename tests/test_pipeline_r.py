@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from conftest import PositionCutOracle, PrimedTopOracle, profile_oracle
+from conftest import (
+    ORDER_INVARIANT_DESCRIPTORS,
+    PositionCutOracle,
+    PrimedTopOracle,
+    profile_oracle,
+    undeclared,
+)
 from sumsetlab import pipeline_r, ramsey
 from sumsetlab.oracle import (
     PipelineFailure,
@@ -45,6 +52,7 @@ from sumsetlab.pipeline_r import (
     iter_canonical_tuples,
     last_step,
     layout_families,
+    level_size,
     make_witness_tuples,
     pigeonhole_pair,
     replacement_search,
@@ -254,7 +262,7 @@ def test_check_levels_four_count():
     report = check_levels(oracle, sys0)
     assert report.all_constant
     assert report.colors == (0, 1, 0)
-    # Every level is constant, so every tuple of every level was colored.
+    # Every level is constant, so tuple_count is the whole level.
     for l, lvl in enumerate(report.levels):
         tuples = list(iter_canonical_tuples(sys0.families, l, index_strict=True))
         assert lvl.tuple_count == len(tuples) > 0
@@ -325,6 +333,65 @@ def test_check_levels_stops_each_level_at_its_counterexample():
 def test_check_levels_rejects_r_mismatch():
     with pytest.raises(ValueError):
         check_levels(make_oracle("four-count", 3), system_from_universe(2, 12))
+
+
+def test_level_size_matches_enumeration():
+    for r in range(1, 6):
+        for m in range(9):
+            families = select_positions(layout_families(r, 8), range(m)).families
+            for l in range(r + 1):
+                tuples = iter_canonical_tuples(families, l, index_strict=True)
+                assert level_size(r, m, l) == len(list(tuples)), (r, m, l)
+    for l in (-1, 4):
+        with pytest.raises(ValueError):
+            level_size(3, 4, l)
+
+
+COUNTED_SYSTEMS = {
+    "universe-2-12": system_from_universe(2, 12),
+    "universe-3-24": system_from_universe(3, 24),
+    "universe-4-24": system_from_universe(4, 24),
+    "gaps": select_positions(system_from_universe(3, 36), (0, 2, 5, 7, 8)),
+    # Level 2 needs two member positions, so it is empty and ends the report.
+    "one-member": select_positions(system_from_universe(3, 36), (4,)),
+}
+
+
+@pytest.mark.parametrize("descriptor", ORDER_INVARIANT_DESCRIPTORS)
+@pytest.mark.parametrize("name", COUNTED_SYSTEMS)
+def test_check_levels_counts_what_full_enumeration_colors(descriptor, name):
+    sys0 = COUNTED_SYSTEMS[name]
+    oracle = make_oracle(descriptor, sys0.r)
+    colored = []
+    color = oracle.color
+    oracle.color = lambda v: colored.append(v) or color(v)
+    report = check_levels(oracle, sys0)
+    assert report == check_levels(undeclared(make_oracle(descriptor, sys0.r)), sys0)
+    # Only the first tuple of each level is colored.
+    assert len(colored) == len(report.levels) - (not report.all_constant)
+    if name == "one-member":
+        assert [lvl.constant for lvl in report.levels] == [True, True, False]
+        assert report.levels[-1].tuple_count == 0
+    else:
+        assert report.all_constant
+
+
+@pytest.mark.parametrize("members, top, bad", [
+    ((-1, 1), 2, -1),
+    ((False, 1), 2, False),
+    ((0.0, 1), 2, 0.0),
+    # The first tuple of every level avoids these, so only a walk meets them.
+    ((0, 1, 2), 3.0, 3.0),
+    ((0, 1, 2, 2.5), 3, 2.5),
+])
+def test_check_levels_on_coordinates_that_are_not_naturals(members, top, bad):
+    # Such a system takes the enumerating path, and star refuses the index.
+    other = IndexFamily(tuple(range(10, 10 + len(members))), 20)
+    sys0 = FamilySystem(families=(IndexFamily(members, top), other))
+    message = re.escape(f"index must be a natural number, got {bad!r}")
+    for oracle in (make_oracle("four-count", 2), undeclared(make_oracle("four-count", 2))):
+        with pytest.raises(ValueError, match=message):
+            check_levels(oracle, sys0)
 
 
 def test_saturated_replaces_all_but_paired_unprimed():

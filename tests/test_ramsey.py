@@ -7,6 +7,8 @@ import weakref
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab.oracle import FloorSumOracle, FourCountOracle
 from sumsetlab.pipeline2 import derived_tuple_colorings
@@ -193,6 +195,32 @@ def test_greedy_pentagon_notfound_is_exhaustive():
     outcome = greedy_end_homogeneous(pentagon_coloring(), 3)
     assert isinstance(outcome, NoHomogeneousSet)
     assert outcome.exhaustive
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_greedy_not_found_means_no_constant_subset_one_larger(data):
+    # Small table colorings, well below the implicit caps, so both searches
+    # are complete: m members plus a top are m + 1 constant points.
+    arity = data.draw(st.integers(2, 3), label="arity")
+    n = data.draw(st.integers(5, 9), label="points")
+    colors = data.draw(st.integers(2, 3), label="colors")
+    m = data.draw(st.integers(arity - 1, 4), label="m")
+    tuples = list(combinations(range(n), arity))
+    values = data.draw(
+        st.lists(st.integers(0, colors - 1), min_size=len(tuples), max_size=len(tuples)),
+        label="table",
+    )
+    table = dict(zip(tuples, values))
+    found = greedy_end_homogeneous(TupleColoring(arity, colors, n, table.__getitem__), m)
+    if isinstance(found, HomogeneousSet):
+        points = (*found.members, found.top)
+        assert len(found.members) == m and list(points) == sorted(set(points))
+        assert {table[t] for t in combinations(points, arity)} == {found.color}
+    else:
+        assert found.exhaustive
+        brute = brute_homogeneous(TupleColoring(arity, colors, n, table.__getitem__), m + 1)
+        assert isinstance(brute, NoHomogeneousSet) and brute.exhaustive
 
 
 def test_multi_all_constant_takes_first_indices():
