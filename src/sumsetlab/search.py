@@ -24,8 +24,8 @@ two exact devices:
   are c and 2x is c.  A struck color is never tried, and a position with
   every color struck kills the subtree at once.
 
-A surviving leaf is re-verified by a fresh exhaustive scan before being
-reported.
+A surviving leaf is re-verified before being reported by has_mono_sumset,
+an exhaustive search over X that shares no code with the strike table.
 
 threshold_scan drives the hunt for M = 1..M_max and classifies each M as
 ESCAPABLE (a verified bad coloring exists), FORCED (the search space was
@@ -35,9 +35,21 @@ The coloring space is always split into the same fixed prefix tasks
 whatever the worker count, each task gets the full budget (a task resumed
 from a checkpoint gets what its earlier run left of it), and the first
 witness in task order wins, so results are reproducible bit for bit under
-any parallelism, and with or without kills and resumes.  FORCED
-verdicts are monotone in M; the scan asserts this and aborts loudly on a
-violation, since one would mean the X-range convention was broken
+any parallelism, and with or without kills and resumes.
+
+Each M starts at w(M-1), the least bad coloring of {1..M-1}, when the
+previous row found it.  The X range never shrinks as M grows, so w(M) cut
+to 1..M-1 is bad there and sorts at or above w(M-1): the tasks whose
+prefix sorts below w(M-1) are logged as finished without a witness and
+not run, and the task that w(M-1) starts with resumes from it.  Witnesses
+and unbudgeted verdicts are those of a scan that searches every task from
+its start; node counts are diagnostics and shrink, and a budgeted row can
+be decided where that scan would leave it UNDECIDED.  Under a budget a
+witness found after an earlier task was cut off may not be the least, so
+it starts no chain.
+
+FORCED verdicts are monotone in M; the scan asserts this and aborts loudly
+on a violation, since one would mean the X-range convention was broken
 somewhere, or, when the FORCED row was read from a checkpoint, that the
 file is wrong.
 
@@ -52,7 +64,6 @@ import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -110,19 +121,29 @@ def _x_limit(M: int, x_max: int | None) -> int:
 def has_mono_sumset(coloring: NatColoring, k: int, x_max: int | None = None):
     """Lexicographically least X of size k with X + X monochromatic, else None.
 
-    The scan is exhaustive over subsets of {1..x_max}, so None is a proof
-    for the given coloring.
+    A depth-k search over X = (x_1 < x_2 < ...) inside {1..x_max} in
+    lexicographic order.  It extends X by y only while 2y and every x + y
+    take the color of 2x_1, so it cuts just the prefixes that no member added
+    later can make monochromatic, and None is a proof for the given coloring.
     """
     if k < 1:
         raise ValueError("witness size must be positive")
     limit = _x_limit(coloring.M, x_max)
     colors = coloring.colors  # every sum is in 2..2*limit, inside 1..M
-    for X in combinations(range(1, limit + 1), k):
-        sums = {a + b for a, b in combinations(X, 2)} | {2 * a for a in X}
-        seen = {colors[s - 1] for s in sums}
-        if len(seen) == 1:
-            return X
-    return None
+    X: list[int] = []
+    y = 1
+    while True:
+        if y + k - len(X) - 1 > limit:  # too few values left above y to complete X
+            if not X:
+                return None
+            y = X.pop() + 1
+            continue
+        color = colors[2 * (X[0] if X else y) - 1]
+        if colors[2 * y - 1] == color and all(colors[x + y - 1] == color for x in X):
+            X.append(y)
+            if len(X) == k:
+                return tuple(X)
+        y += 1
 
 
 @dataclass(frozen=True)
@@ -303,12 +324,18 @@ class ThresholdRecord:
     # Every schedule counts the tasks up to the first witness, but a resumed
     # run skips the tasks its checkpoint marks finished, so they are diagnostics only.
     nodes: int = field(compare=False)
+    # The witness is the lexicographically least bad coloring: every task
+    # before its own finished without one, none cut off by the budget.  Only
+    # such a witness may start the search of the next M.
+    least: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.verdict not in (FORCED, ESCAPABLE, UNDECIDED):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if (self.verdict == ESCAPABLE) != (self.witness is not None):
             raise ValueError("exactly the ESCAPABLE records carry a witness")
+        if self.least and self.witness is None:
+            raise ValueError("only a witness can be the least one")
 
 
 def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
@@ -420,13 +447,24 @@ def _scan_one(
     workers: int,
     checkpoint: _ScanCheckpoint | None = None,
     interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+    start: tuple[int, ...] = (),
 ) -> ThresholdRecord:
-    """Classify one M.  With a checkpoint, the tasks its log marks finished
-    are not run again, the others resume from their logged prefix with what
-    is left of their budget, and every DFS checkpoint of a task is logged
-    and written."""
+    """Classify one M.  start is w(M-1), the least bad coloring of
+    {1..M-1}, or () when the previous row did not find it.  w(M) cut to
+    1..M-1 is bad there too (X only gains members as M grows), so it sorts
+    at or above start: the tasks whose prefix sorts below start are logged
+    as finished without a witness and not run, and the task that start
+    begins with resumes from start.  Without a budget only the node count,
+    a diagnostic, depends on start.  A witness is marked least when every
+    task before its own finished without one.  With a checkpoint, the tasks
+    its log marks finished are not run again, the others resume from their
+    logged prefix (or from start, when that is larger) with what is left of
+    their budget, and every DFS checkpoint of a task is logged and written."""
     prefixes = _task_prefixes(r, M)
     log = [None] * len(prefixes) if checkpoint is None else checkpoint.log_for(M, len(prefixes))
+    for i, prefix in enumerate(prefixes):
+        if prefix < start[: len(prefix)]:
+            log[i] = True
     pending = [i for i, entry in enumerate(log) if not isinstance(entry, bool)]
     # A task resumed from a prefix P logged after s nodes re-walks P in
     # len(P) nodes and then retraces the earlier run, which had spent
@@ -434,8 +472,11 @@ def _scan_one(
     spent = []
     tasks = []
     for i in pending:
-        resume_from = None if log[i] is None else log[i]["prefix"]
+        resume_from = None if log[i] is None else tuple(log[i]["prefix"])
         spent.append(0 if log[i] is None else log[i]["nodes"] - len(resume_from))
+        if prefixes[i] == start[: len(prefixes[i])]:
+            # both are lexicographic lower bounds on the task's first witness
+            resume_from = max(resume_from or (), start)
         left = None if budget is None else budget - spent[-1]
         tasks.append((k, r, M, left, _row_x_max(M, x_max), prefixes[i], resume_from, interval))
     progress = None
@@ -457,10 +498,13 @@ def _scan_one(
             nodes += spent[n] + result.nodes
             if result.found:
                 witness = result.coloring
+                least = all(log[: pending[n]])
                 break
             log[pending[n]] = result.exhausted
     if witness is not None:
-        return ThresholdRecord(k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes)
+        return ThresholdRecord(
+            k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes, least=least
+        )
     # Every task finished without a witness, so each entry is its exhausted flag.
     if all(log):
         return ThresholdRecord(k=k, r=r, M=M, verdict=FORCED, witness=None, nodes=nodes)
@@ -479,9 +523,14 @@ def threshold_scan(
 ) -> list[ThresholdRecord]:
     """Classify every M <= M_max as FORCED, ESCAPABLE, or UNDECIDED.
 
-    Every fresh witness has passed find_bad_coloring's exhaustive leaf
-    re-check, and every witness read back from a checkpoint is re-checked
-    the same way on load.  A FORCED verdict followed by an ESCAPABLE one at
+    Each M starts at the previous row's witness when that row marks it the
+    least one (found by this run or read from the checkpoint), and the
+    tasks it skips are logged as finished (see _scan_one); the records'
+    node counts are diagnostics.  Every fresh witness has passed
+    find_bad_coloring's exhaustive leaf re-check, and every witness read
+    back from a checkpoint is re-checked the same way on load; resume
+    trusts a stored FORCED row, and a stored witness marked least to be
+    the least one.  A FORCED verdict followed by an ESCAPABLE one at
     larger M aborts the run: with ValueError naming the row when the FORCED
     row was read from the checkpoint, with RuntimeError when this run found
     both.  A checkpoint whose stored rows skip an M or already break that
@@ -504,7 +553,8 @@ def threshold_scan(
     stored = len(records)
     forced_at = next((record.M for record in records if record.verdict == FORCED), None)
     for M in range(stored + 1, M_max + 1):
-        record = _scan_one(k, r, M, budget, x_max, workers, checkpoint, checkpoint_interval)
+        start = records[-1].witness.colors if records and records[-1].least else ()
+        record = _scan_one(k, r, M, budget, x_max, workers, checkpoint, checkpoint_interval, start)
         if record.verdict == ESCAPABLE and forced_at is not None:
             # A stored row is outside input: the file is at fault, not the search.
             if forced_at <= stored:
@@ -551,10 +601,11 @@ class _ScanCheckpoint:
     def _load(self, loaded: dict) -> None:
         """Read the records and the log, or raise ValueError.  The records
         must be the rows M = 1, 2, ... in order, no ESCAPABLE row may follow
-        a FORCED one, and a stored witness must color exactly 1..M and admit
-        no monochromatic X + X.  The log must be for the M after the last
-        row, a logged prefix must agree with its task, and its node count
-        must cover the prefix and stay within the budget."""
+        a FORCED one, a stored witness must color exactly 1..M and admit no
+        monochromatic X + X, and only a witness may be marked least.  The log
+        must be for the M after the last row, a logged prefix must agree with
+        its task, and its node count must cover the prefix and stay within
+        the budget."""
         if loaded["config"] != self.config:
             raise ValueError(f"it was written for config {loaded['config']}")
         k, r, x_max = self.config["k"], self.config["r"], self.config["x_max"]
@@ -574,6 +625,10 @@ class _ScanCheckpoint:
                 X = has_mono_sumset(witness, k, x_max=_row_x_max(M, x_max))
                 if X is not None:
                     raise ValueError(f"the M={M} witness makes X={X} monochromatic")
+            # Rows stored before the flag existed start no chain.
+            least = row.get("least", False)
+            if type(least) is not bool:
+                raise ValueError(f"row {M} has least={least!r}")
             self.records.append(
                 ThresholdRecord(
                     k=k,
@@ -582,6 +637,7 @@ class _ScanCheckpoint:
                     verdict=row["verdict"],
                     witness=witness,
                     nodes=row["nodes"],
+                    least=least,
                 )
             )
         in_flight = loaded["in_flight"]
@@ -628,6 +684,7 @@ class _ScanCheckpoint:
                 "verdict": record.verdict,
                 "witness": list(record.witness.colors) if record.witness else None,
                 "nodes": record.nodes,
+                "least": record.least,
             }
             for record in records
         ]

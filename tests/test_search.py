@@ -10,6 +10,7 @@ M = 14.
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import re
@@ -17,6 +18,8 @@ import time
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumsetlab.search
 from sumsetlab.search import (
@@ -52,6 +55,39 @@ def all_pair_sums_one_color(colors, X):
 def in_first_use_order(colors):
     """Each color is 0 or at most one above the largest color before it."""
     return all(c <= max(colors[:i], default=-1) + 1 for i, c in enumerate(colors))
+
+
+def reference_mono_sumset(coloring, k, x_max=None):
+    """Lexicographically least X of size k with X + X monochromatic, else
+    None: every k-subset of {1..x_max} in turn, with no pruning."""
+    limit = coloring.M // 2 if x_max is None else x_max
+    colors = coloring.colors
+    for X in combinations(range(1, limit + 1), k):
+        sums = {a + b for a, b in combinations(X, 2)} | {2 * a for a in X}
+        if len({colors[s - 1] for s in sums}) == 1:
+            return X
+    return None
+
+
+def unchained_scan(k, r, M_max, budget=None, x_max=None):
+    """(verdict, witness, nodes) for M = 1..M_max, searching every task of
+    _task_prefixes from its own start, with no chain from the row below:
+    the first witness in task order wins, and a cut-off task makes a row
+    without one UNDECIDED."""
+    rows = []
+    for M in range(1, M_max + 1):
+        x_limit = None if x_max is None else min(x_max, M // 2)
+        verdict, witness, nodes = FORCED, None, 0
+        for prefix in _task_prefixes(r, M):
+            result = find_bad_coloring(k, r, M, budget=budget, x_max=x_limit, forced_prefix=prefix)
+            nodes += result.nodes
+            if result.found:
+                verdict, witness = ESCAPABLE, result.coloring
+                break
+            if not result.exhausted:
+                verdict = UNDECIDED
+        rows.append((verdict, witness, nodes))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +154,37 @@ def test_has_mono_sumset_x_range_convention():
 def test_has_mono_sumset_vacuous_when_k_exceeds_range():
     c = NatColoring(r=2, colors=(0,) * 6)
     assert has_mono_sumset(c, 5) is None  # only {1, 2, 3} available
+
+
+@functools.cache
+def least_bad_colorings(r):
+    """The least bad colorings of {1..M}, M = 1..30, for k = 3 (r = 2) or
+    k = 2 (r = 3): colorings whose monochromatic X are rare."""
+    return [rec.witness.colors for rec in threshold_scan({2: 3, 3: 2}[r], r, 30)]
+
+
+@st.composite
+def colorings(draw, r, M):
+    """A random coloring of {1..M}, or one a few flips away from a least
+    bad coloring, where the search must go deep to find X or prove none."""
+    if r == 1 or M == 0 or draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(0, r - 1), min_size=M, max_size=M)))
+    colors = list(least_bad_colorings(r)[M - 1])
+    for i in draw(st.lists(st.integers(0, M - 1), max_size=2)):
+        colors[i] = (colors[i] + 1) % r
+    return tuple(colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_has_mono_sumset_matches_the_plain_enumerator(data):
+    r = data.draw(st.integers(1, 3), label="r")
+    k = data.draw(st.integers(1, 4), label="k")
+    M = data.draw(st.integers(0, 30), label="M")
+    coloring = NatColoring(r, data.draw(colorings(r, M), label="colors"))
+    # x_max up to M // 2, so k runs past the range for small M or x_max
+    x_max = data.draw(st.none() | st.integers(0, M // 2), label="x_max")
+    assert has_mono_sumset(coloring, k, x_max=x_max) == reference_mono_sumset(coloring, k, x_max)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +317,8 @@ def test_threshold_record_validation():
         ThresholdRecord(
             k=2, r=2, M=3, verdict=FORCED, witness=NatColoring(2, (0, 0, 0)), nodes=0
         )
+    with pytest.raises(ValueError, match="only a witness can be the least one"):
+        ThresholdRecord(k=2, r=2, M=3, verdict=UNDECIDED, witness=None, nodes=0, least=True)
 
 
 def test_threshold_record_equality_ignores_node_counts():
@@ -337,6 +406,62 @@ def test_threshold_scan_checks_each_witness_once(monkeypatch):
     witnesses = [rec.witness.colors for rec in records if rec.verdict == ESCAPABLE]
     assert len(witnesses) == 10
     assert calls == witnesses
+
+
+@pytest.mark.parametrize(
+    "k, r, M_max, x_max, workers",
+    [
+        (2, 2, 20, None, 1),
+        (3, 2, 30, None, 1),
+        (2, 3, 30, None, 1),
+        (2, 2, 20, 3, 1),
+        (3, 2, 30, 3, 1),
+        (2, 3, 30, 3, 1),
+        (2, 2, 20, None, 2),
+        (3, 2, 30, None, 2),
+        (2, 3, 30, None, 2),
+    ],
+)
+def test_chain_start_matches_a_scan_of_every_task(k, r, M_max, x_max, workers):
+    # Each M starts at the previous row's witness: the same verdicts and
+    # witnesses as searching every task from its start, in no more nodes.
+    records = threshold_scan(k, r, M_max, x_max=x_max, workers=workers)
+    reference = unchained_scan(k, r, M_max, x_max=x_max)
+    assert [(rec.verdict, rec.witness) for rec in records] == [row[:2] for row in reference]
+    assert all(rec.nodes <= row[2] for rec, row in zip(records, reference))
+    assert all(rec.least for rec in records if rec.verdict == ESCAPABLE)
+
+
+def test_chain_start_cuts_the_nodes_of_the_pair_sumsets_in_three_colors():
+    # 16,283 nodes for M <= 40 when every task searches from its start
+    records = threshold_scan(2, 3, 40)
+    reference = unchained_scan(2, 3, 40)
+    assert sum(rec.nodes for rec in records) * 4 < sum(row[2] for row in reference)
+
+
+@pytest.mark.parametrize("k, r, M_max, budget", [(2, 2, 20, 17), (3, 2, 34, 33), (2, 3, 30, 20)])
+def test_chain_start_under_a_budget_decides_every_row_the_reference_decides(k, r, M_max, budget):
+    records = threshold_scan(k, r, M_max, budget=budget)
+    reference = unchained_scan(k, r, M_max, budget=budget)
+    unbudgeted = threshold_scan(k, r, M_max)
+    for rec, (verdict, _, nodes), full in zip(records, reference, unbudgeted):
+        assert rec.nodes <= nodes
+        if verdict != UNDECIDED:
+            assert rec.verdict == verdict
+        if rec.least:
+            assert rec.witness == full.witness
+        if rec.witness is not None:
+            assert reference_mono_sumset(rec.witness, k) is None
+    gained = [rec.M for rec, row in zip(records, reference) if row[0] == UNDECIDED != rec.verdict]
+    # Without the chain, the (2, 2) budget of 17 leaves M = 13 UNDECIDED.
+    assert gained == ([13] if (k, r) == (2, 2) else [])
+    if (k, r) == (3, 2):
+        # Tasks (0, 0, 0) and (0, 0, 1) are cut off at M = 30, so the witness
+        # found after them need not be the least, and M = 31 must search
+        # every task again.
+        not_least = [rec.M for rec in records if rec.witness is not None and not rec.least]
+        assert not_least == [30, 31, 32]
+        assert records[30].nodes == reference[30][2]
 
 
 def test_threshold_scan_worker_count_is_invisible():
@@ -457,6 +582,61 @@ def test_checkpoint_rejects_a_bad_stored_witness(tmp_path):
         threshold_scan(2, 2, 8, checkpoint_path=path)
 
 
+def test_resume_starts_at_a_stored_witness_marked_least(tmp_path):
+    full = threshold_scan(2, 3, 40)
+    reference = unchained_scan(2, 3, 40)
+    assert full[-1].nodes < reference[-1][2]
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 3, 39, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    assert all(row["least"] for row in state["records"])
+    resumed = threshold_scan(2, 3, 40, checkpoint_path=path)
+    assert resumed == full
+    assert resumed[-1].nodes == full[-1].nodes
+    # A row stored before the flag existed starts no chain.
+    for row in state["records"]:
+        del row["least"]
+    path.write_text(json.dumps(state))
+    resumed = threshold_scan(2, 3, 40, checkpoint_path=path)
+    assert resumed == full
+    assert resumed[-1].nodes == reference[-1][2]
+
+
+def test_resume_takes_the_larger_of_a_logged_prefix_and_the_chain_start(tmp_path):
+    full = threshold_scan(2, 2, 14)
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 13, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    # Logged by a run that did not start at the M = 13 witness: task
+    # (0, 0, 1) at its own prefix, which sorts below that witness.
+    state["in_flight"] = {"M": 14, "log": [True, {"prefix": [0, 0, 1], "nodes": 3}, None, None]}
+    path.write_text(json.dumps(state))
+    resumed = threshold_scan(2, 2, 14, checkpoint_path=path)
+    assert resumed == full
+    assert resumed[-1].nodes == full[-1].nodes
+
+
+def test_checkpoint_rejects_a_bad_least_flag(tmp_path):
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 14, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    for value, message in (
+        (1, "row 13 has least=1"),
+        ("true", "row 13 has least='true'"),
+        (None, "row 13 has least=None"),
+    ):
+        state["records"][12]["least"] = value
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {message}")):
+            threshold_scan(2, 2, 14, checkpoint_path=path)
+    state["records"][12]["least"] = True
+    state["records"][13]["least"] = True  # the FORCED row
+    path.write_text(json.dumps(state))
+    message = f"checkpoint {path}: only a witness can be the least one"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold_scan(2, 2, 14, checkpoint_path=path)
+
+
 def test_checkpoint_rejects_a_missing_row(tmp_path):
     path = tmp_path / "scan.json"
     threshold_scan(2, 2, 5, checkpoint_path=path)
@@ -471,7 +651,7 @@ def test_checkpoint_rejects_a_stored_forced_row_below_an_escapable_one(tmp_path)
     path = tmp_path / "scan.json"
     threshold_scan(2, 2, 5, checkpoint_path=path)
     state = json.loads(path.read_text())
-    state["records"][1].update(verdict=FORCED, witness=None)
+    state["records"][1].update(verdict=FORCED, witness=None, least=False)
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError, match="M=3 is ESCAPABLE but M=2 is FORCED"):
         threshold_scan(2, 2, 5, checkpoint_path=path)
@@ -520,17 +700,21 @@ def test_checkpoint_crash_resume(tmp_path, monkeypatch):
 
 
 def test_budget_survives_kills_and_resumes(tmp_path, monkeypatch):
-    # Tasks (0, 0, 1) and (0, 1, 0) of M = 14 need 34 nodes each, so a budget
-    # of 30 leaves M = 14 UNDECIDED; a resumed task that got its whole budget
-    # back would finish them and report FORCED.
+    # Task (0, 1, 0) of M = 14 needs 34 nodes, so a budget of 30 leaves
+    # M = 14 UNDECIDED; a resumed task that got its whole budget back would
+    # finish it and report FORCED.  M = 14 starts at the M = 13 witness, so
+    # task (0, 0, 0) is skipped and (0, 0, 1) logs its 5 checkpoints first.
     baseline = threshold_scan(2, 2, 14, budget=30, checkpoint_interval=5)
     assert baseline[-1].verdict == UNDECIDED
     path = tmp_path / "scan.json"
     first = crash_at_write(path, monkeypatch, at=8, M_max=14, inside=14, budget=30)
-    second = crash_at_write(path, monkeypatch, at=7, M_max=14, inside=14, budget=30)
+    second = crash_at_write(path, monkeypatch, at=5, M_max=14, inside=14, budget=30)
     for snapshot in (first, second):
+        assert snapshot["in_flight"]["log"][:2] == [True, True]
         running = [entry for entry in snapshot["in_flight"]["log"] if isinstance(entry, dict)]
         assert [entry["nodes"] > len(entry["prefix"]) for entry in running] == [True]
+        # both crashes land inside the task that the budget cuts off
+        assert running[0]["prefix"][:3] == [0, 1, 0]
     assert second["in_flight"] != first["in_flight"]
 
     resumed = threshold_scan(2, 2, 14, budget=30, checkpoint_path=path, checkpoint_interval=5)
@@ -548,10 +732,11 @@ def test_budget_survives_kills_and_resumes(tmp_path, monkeypatch):
 
 
 # M = 12 is ESCAPABLE through its second task, so the crash may leave the
-# first one running or finished; M = 14 is FORCED, and its four tasks log
-# 3 + 6 + 6 + 3 checkpoints at 5 nodes each.  Which entries a two-worker
-# crash leaves running or finished depends on the race between the children.
-@pytest.mark.parametrize("inside, at", [(12, 4), (14, 2), (14, 9), (14, 18)])
+# first one running or finished; M = 14 is FORCED, and it starts at the
+# M = 13 witness, which skips task (0, 0, 0), so its other three tasks log
+# 5 + 6 + 3 checkpoints at 5 nodes each.  Which entries a two-worker crash
+# leaves running or finished depends on the race between the children.
+@pytest.mark.parametrize("inside, at", [(12, 4), (14, 2), (14, 9), (14, 14)])
 def test_two_worker_crash_resumes_under_either_worker_count(tmp_path, monkeypatch, inside, at):
     baseline = threshold_scan(2, 2, 14)
     path = tmp_path / "scan.json"
