@@ -270,6 +270,20 @@ class CanonicalTuple:
     primed: tuple[Position, ...]
     entries: tuple[int, ...]
 
+    @classmethod
+    def _from_parts(cls, l, index, primed, entries) -> "CanonicalTuple":
+        """The same tuple as cls(l, index, primed, entries), built without
+        the frozen dataclass __init__, which sets each field through
+        object.__setattr__.  Like that __init__ it checks nothing; the
+        enumerator's hot loop builds every tuple through it."""
+        t = object.__new__(cls)
+        fields = t.__dict__
+        fields["l"] = l
+        fields["index"] = index
+        fields["primed"] = primed
+        fields["entries"] = entries
+        return t
+
     @property
     def r(self) -> int:
         return len(self.index)

@@ -35,13 +35,21 @@ order_invariant and every coordinate of the system is a natural,
 derived gives every index-strictly-increasing tuple of a level the color
 of its first one, so check_levels colors that tuple and counts the rest
 with level_size instead of enumerating them.
+
+iter_canonical_tuples is the one enumerator of level tuples for every
+stage.  shrink keeps one map of tuple colors across its searches: the
+tuples with a top in place, and the traded tuples of each accepted pick,
+whose colors the pick's check has just shown equal to the originals'.
+Pools only grow, so a later search finds most of its tuples there, and a
+trade rewrites only the slot that holds the top.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import combinations, product
-from math import comb, inf
+from itertools import combinations, product, repeat
+from math import comb
 from typing import Iterator, Sequence
 
 from .oracle import (
@@ -59,7 +67,6 @@ from .pattern import (
     TOP,
     CanonicalTuple,
     IndexFamily,
-    Position,
     canonical_tuple,
     families_are_laid_out,
     halved_family,
@@ -134,6 +141,26 @@ def select_positions(sys: FamilySystem, positions: Sequence[int], rho=None) -> F
     return FamilySystem(families=families, rho=rho)
 
 
+def _check_pools(families: Sequence[IndexFamily], pools: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError, naming the family, unless pools holds one ascending
+    list of distinct member positions per family."""
+    if len(pools) != len(families):
+        k = min(len(pools), len(families))
+        raise ValueError(
+            f"{len(pools)} pools for {len(families)} families: "
+            + (f"family {k} has no pool" if k < len(families) else f"there is no family {k}")
+        )
+    for k, (family, pool) in enumerate(zip(families, pools)):
+        previous = -1
+        for p in pool:
+            if type(p) is not int or not previous < p < family.size:
+                raise ValueError(
+                    f"the pool of family {k} is {list(pool)!r}, not ascending distinct "
+                    f"member positions below {family.size}"
+                )
+            previous = p
+
+
 def iter_canonical_tuples(
     families: Sequence[IndexFamily],
     l: int,
@@ -143,68 +170,116 @@ def iter_canonical_tuples(
 ) -> Iterator[CanonicalTuple]:
     """Enumerate l-canonical tuples drawing positions from per-family pools.
 
-    A pool is an ascending list of its family's member positions; the
-    family's top is always available besides them.  Pools default to every
-    member position.  With index_strict only index vectors that are
-    strictly increasing in the finite-strict sense are generated: finite
-    positions rise strictly and after the first TOP only TOP follows.
-    With containing_top_of=j only tuples using the top of family j appear.
-    The enumeration order is deterministic: index vectors ascend
-    lexicographically with TOP last, then primed vectors likewise.  Tuples
-    are built from the resolved positions, whose shape holds by
-    construction, so canonical_tuple does not check them again.
+    A pool is an ascending list of distinct member positions of its
+    family, and the family's top is always available besides them; pools
+    that are not one such list per family raise ValueError.  Pools default
+    to every member position.  With index_strict only index vectors that
+    are strictly increasing in the finite-strict sense are generated:
+    finite positions rise strictly and after the first TOP only TOP
+    follows.  With containing_top_of=j only tuples using the top of family
+    j appear, and a j that names no family raises ValueError.  The
+    enumeration order is deterministic: index vectors ascend
+    lexicographically with TOP last, then primed vectors likewise.
+
+    The walk is lazy and flat: index vectors come from itertools.product,
+    or with index_strict from one loop over an explicit stack, and the
+    primed vectors of each index vector from two products run in step over
+    positions and coordinates.  Tuples are built from the resolved
+    positions, whose shape holds by construction, through
+    CanonicalTuple._from_parts.
     """
     r = len(families)
     if not 0 <= l <= r:
         raise ValueError(f"level {l} out of range for {r} families")
+    if containing_top_of is not None and not 0 <= containing_top_of < r:
+        raise ValueError(f"family index {containing_top_of} out of range")
     if pools is None:
         pools = [range(f.size) for f in families]
-    # A choice is a (position, coordinate index) pair; members ascend, TOP is last.
-    members = [[(p, f.members[p]) for p in pool] for f, pool in zip(families, pools)]
-    tops = [(TOP, f.top) for f in families]
-    unprimed = [
-        members[k] if k < l else [tops[k]] if containing_top_of == k else [*members[k], tops[k]]
-        for k in range(r)
-    ]
-
-    def vectors(k: int, floor: float) -> Iterator[list[tuple[Position, int]]]:
-        # Choices for families k.. whose finite positions exceed floor; with
-        # index_strict the floor rises with each pick and is infinite after TOP.
-        if k == r:
-            yield []
-            return
-        for choice in unprimed[k]:
-            p = choice[0]
-            if p is TOP:
-                above = inf if index_strict else floor
-            elif p > floor:
-                above = p if index_strict else floor
-            else:
-                continue
-            for rest in vectors(k + 1, above):
-                yield [choice, *rest]
-
-    partner_slots = slice(1, 2 * l, 2)
-    for vector in vectors(0, -1):
-        index = tuple(p for p, _ in vector)
-        coords = [e for _, e in vector]
-        bound = max((p for p in index if p is not TOP), default=-1)
-        # Each paired block's unprimed coordinate sits before the slot of its
-        # primed partner, which every tuple fills in; singles come last.
-        entries = [0] * (2 * l) + coords[l:]
-        entries[0 : 2 * l : 2] = coords[:l]
-        primed_choices = [
-            [tops[k]]
-            if containing_top_of == k
-            else [*(c for c in members[k] if c[0] > bound), tops[k]]
-            for k in range(l)
-        ]
-        # Two products over the same choices run in step: positions and coordinates.
-        primed_positions = product(*([p for p, _ in choices] for choices in primed_choices))
-        primed_coords = product(*([e for _, e in choices] for choices in primed_choices))
-        for primed, partners in zip(primed_positions, primed_coords):
+    else:
+        _check_pools(families, pools)
+    # Per family, the member positions and coordinates a tuple may take, in
+    # step.  A paired block's unprimed entry is never TOP, and a family
+    # whose top is required takes nothing else.
+    positions = [list(pool) for pool in pools]
+    coords = [[f.members[p] for p in pool] for f, pool in zip(families, pools)]
+    if containing_top_of is not None and containing_top_of >= l:
+        positions[containing_top_of], coords[containing_top_of] = [], []
+    top_coords = tuple(f.top for f in families)
+    if index_strict:
+        vectors = _rising_vectors(positions, coords, top_coords, l)
+    else:
+        # Past the paired blocks a family may also sit at its top.  The
+        # bound, the largest finite position, reads TOP as -1.
+        index_choices, coord_choices, bound_choices = [], [], []
+        for k in range(r):
+            single = k >= l
+            index_choices.append(positions[k] + [TOP] * single)
+            coord_choices.append(coords[k] + [top_coords[k]] * single)
+            bound_choices.append(positions[k] + [-1] * single)
+        bounds = map(max, product(*bound_choices)) if l else repeat(-1)
+        vectors = zip(product(*index_choices), product(*coord_choices), bounds)
+    make = CanonicalTuple._from_parts
+    if l == 0:
+        for index, entries, _ in vectors:
+            yield make(0, index, (), entries)
+        return
+    # The primed choices of the paired blocks depend only on the largest
+    # finite unprimed position, so each is made once per value of it.
+    above: dict[int, tuple[list, list]] = {}
+    paired = 2 * l
+    partner_slots = slice(1, paired, 2)
+    for index, vector_coords, bound in vectors:
+        choices = above.get(bound)
+        if choices is None:
+            primed_positions, primed_coords = [], []
+            for k in range(l):
+                start = bisect_right(positions[k], bound)
+                if containing_top_of == k:
+                    start = len(positions[k])
+                primed_positions.append([*positions[k][start:], TOP])
+                primed_coords.append([*coords[k][start:], top_coords[k]])
+            choices = above[bound] = (primed_positions, primed_coords)
+        # Each paired block's unprimed coordinate sits before the slot of
+        # its primed partner, which every tuple fills in; singles come last.
+        entries = [0] * paired + list(vector_coords[l:])
+        entries[0:paired:2] = vector_coords[:l]
+        for primed, partners in zip(product(*choices[0]), product(*choices[1])):
             entries[partner_slots] = partners
-            yield CanonicalTuple(l, index, primed, tuple(entries))
+            yield make(l, index, primed, tuple(entries))
+
+
+def _rising_vectors(positions, coords, top_coords, l):
+    """The index-strictly-increasing vectors of iter_canonical_tuples as
+    (index, coordinates, largest finite position or -1), in its order.
+
+    Such a vector is a strictly rising prefix of finite positions, one per
+    family, then TOP in every later family, which needs at least l finite
+    positions.  Since TOP sorts last, a prefix comes after all its
+    extensions: the walk visits the tree of rising prefixes in post-order,
+    with a stack holding the index of the next choice at each depth.
+    """
+    r = len(positions)
+    tops = (TOP,) * r
+    index: list[int] = []
+    vector_coords: list[int] = []
+    nexts = [0]
+    while nexts:
+        d = len(index)
+        i = nexts[-1]
+        if d < r and i < len(positions[d]):
+            nexts[-1] = i + 1
+            p = positions[d][i]
+            index.append(p)
+            vector_coords.append(coords[d][i])
+            nexts.append(bisect_right(positions[d + 1], p) if d + 1 < r else 0)
+            continue
+        if d >= l:
+            bound = index[-1] if index else -1
+            yield (*index, *tops[d:]), (*vector_coords, *top_coords[d:]), bound
+        nexts.pop()
+        if index:
+            index.pop()
+            vector_coords.pop()
 
 
 def level_size(r: int, m: int, l: int) -> int:
@@ -353,44 +428,58 @@ def replacement_search(
 ) -> int | PipelineFailure:
     """Least member position of family j that can stand in for its top.
 
-    pools are iter_canonical_tuples pools: ascending member positions, with
-    every family's top available besides them.  Candidates are positions
-    strictly above both lower and every position in the family's own pool.
-    A candidate is accepted when, for every level l and every l-canonical
-    tuple drawn from the pools that contains family j's top, trading the
-    top for the candidate leaves the tuple's color unchanged.  When no
-    candidate is accepted the result is an exhaustive shrink failure
-    whose reason counts the candidates tried.
+    pools are iter_canonical_tuples pools: one ascending list of distinct
+    member positions per family, with every family's top available
+    besides them; any other pools raise ValueError naming the family.
+    Candidates are positions strictly above both lower and every position
+    in the family's own pool.  A candidate is accepted when, for every
+    level l and every l-canonical tuple drawn from the pools that contains
+    family j's top, trading the top for the candidate leaves the tuple's
+    color unchanged.  The trade rewrites one slot, the one holding the
+    top: 2j + 1 (the primed entry of the pair) when j < l, else l + j.
+    Families sit on disjoint ranges, so no other entry equals the top.
+    When no candidate is accepted the result is an exhaustive shrink
+    failure whose reason counts the candidates tried.
 
-    colors maps the entries of tuples with the top in place to their
-    color.  It is read before the oracle is asked and filled after, so a
-    caller that passes one map to several searches colors each such tuple
-    once; the candidate tuples are always colored afresh.
+    colors maps the entries of level tuples to their color.  Every tuple
+    is looked up there before the oracle is asked.  The tuples with the
+    top in place are stored as they are colored, and the traded tuples of
+    the accepted candidate on acceptance, since the check has just shown
+    each of their colors equal to its original's; a rejected candidate's
+    tuples are not kept.  A caller that passes one map to several searches
+    colors each stored tuple once.
     """
     if not 0 <= j < sys.r:
         raise ValueError(f"family index {j} out of range")
+    _check_pools(sys.families, pools)
     if colors is None:
         colors = {}
     floor = max([lower, *pools[j]])
     constraints = [
-        (t.l, t.entries)
+        (l, 2 * j + 1 if j < l else l + j, t.entries)
         for l in range(sys.r + 1)
         for t in iter_canonical_tuples(sys.families, l, pools=pools, containing_top_of=j)
     ]
-    family = sys.families[j]
     candidates = range(floor + 1, sys.member_count)
     # The tuples with the top in place do not depend on the candidate.
     if candidates:
-        for l, entries in constraints:
+        for l, _, entries in constraints:
             if entries not in colors:
                 colors[entries] = derived(oracle, l, entries)
+    members = sys.families[j].members
     for candidate in candidates:
-        member = family.members[candidate]
-        if all(
-            colors[entries]
-            == derived(oracle, l, tuple(member if e == family.top else e for e in entries))
-            for l, entries in constraints
-        ):
+        member = (members[candidate],)
+        traded = []
+        for l, slot, entries in constraints:
+            swapped = entries[:slot] + member + entries[slot + 1 :]
+            color = colors.get(swapped)
+            if color is None:
+                color = derived(oracle, l, swapped)
+            if color != colors[entries]:
+                break
+            traded.append((swapped, color))
+        else:
+            colors.update(traded)
             return candidate
     return PipelineFailure(
         stage="shrink",
@@ -410,8 +499,11 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
     resulting system is exhaustively re-verified against the saturation law
     before being returned; a failed pick returns its PipelineFailure with
     the round added.  Pools only grow, so most tuples with a top in place
-    recur from one search to the next; one map of their colors serves
-    every search of the call, and each is colored once.
+    recur from one search to the next, and most of those are traded tuples
+    of an earlier search's accepted pick (a member now stands where that
+    family's top stood).  One map of tuple colors serves every search of
+    the call, so each such tuple is colored once: as a traded tuple, or
+    with the top in place.
     """
     if target < 1 or target > sys.member_count:
         raise ValueError(f"cannot shrink to {target} members from {sys.member_count}")

@@ -25,11 +25,15 @@ and never hashed or looked up by index.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
+
+_index_of = itemgetter(0)
+_value_of = itemgetter(1)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -73,7 +77,7 @@ class QVec:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(index for index, _ in self._items)
+        return tuple(map(_index_of, self._items))
 
     def _mapping(self) -> dict[int, Fraction]:
         if self._map is None:
@@ -87,7 +91,7 @@ class QVec:
         return self._items
 
     def values_in_order(self) -> tuple[Fraction, ...]:
-        return tuple(value for _, value in self._items)
+        return tuple(map(_value_of, self._items))
 
     def __len__(self) -> int:
         return len(self._items)

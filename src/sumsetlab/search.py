@@ -529,8 +529,8 @@ def threshold_scan(
     node counts are diagnostics.  Every fresh witness has passed
     find_bad_coloring's exhaustive leaf re-check, and every witness read
     back from a checkpoint is re-checked the same way on load; resume
-    trusts a stored FORCED row, and a stored witness marked least to be
-    the least one.  A FORCED verdict followed by an ESCAPABLE one at
+    trusts a stored FORCED row, and a stored witness marked least, whose
+    colors must be in first-use order, to be the least one.  A FORCED verdict followed by an ESCAPABLE one at
     larger M aborts the run: with ValueError naming the row when the FORCED
     row was read from the checkpoint, with RuntimeError when this run found
     both.  A checkpoint whose stored rows skip an M or already break that
@@ -576,6 +576,16 @@ def threshold_scan(
     return records
 
 
+def _in_first_use_order(colors: Sequence[int]) -> bool:
+    """True iff colors start with 0 and each new color is the least unused one."""
+    largest = -1
+    for c in colors:
+        if c > largest + 1:
+            return False
+        largest = max(largest, c)
+    return True
+
+
 class _ScanCheckpoint:
     """Persistence for threshold_scan: the completed records and, for the
     M in flight, a log with one entry per task of _task_prefixes: null (not
@@ -602,7 +612,10 @@ class _ScanCheckpoint:
         """Read the records and the log, or raise ValueError.  The records
         must be the rows M = 1, 2, ... in order, no ESCAPABLE row may follow
         a FORCED one, a stored witness must color exactly 1..M and admit no
-        monochromatic X + X, and only a witness may be marked least.  The log
+        monochromatic X + X, and only a witness may be marked least.  The
+        least bad coloring has its colors in first-use order (0 first, each
+        new color the least unused one), so a least witness without that
+        form is refused; one with it is trusted to be the least.  The log
         must be for the M after the last row, a logged prefix must agree with
         its task, and its node count must cover the prefix and stay within
         the budget."""
@@ -629,6 +642,10 @@ class _ScanCheckpoint:
             least = row.get("least", False)
             if type(least) is not bool:
                 raise ValueError(f"row {M} has least={least!r}")
+            if least and witness is not None and not _in_first_use_order(witness.colors):
+                raise ValueError(
+                    f"the M={M} witness is marked least but its colors are not in first-use order"
+                )
             self.records.append(
                 ThresholdRecord(
                     k=k,

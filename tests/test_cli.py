@@ -217,6 +217,19 @@ def test_construct_r_not_found_leaves_no_output(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_construct_r_shrink_rejection_exits_2_with_its_reason(tmp_path, capsys):
+    # Families 0 and 1 reject candidates before family 2 accepts none.
+    cert = tmp_path / "sh.json"
+    code = main(["construct-r", "--oracle", "seeded-hash:1", "--r", "3", "--n", "45", "--m", "3",
+                 "--out", str(cert)])
+    assert code == EXIT_NOT_FOUND
+    assert capsys.readouterr().err == (
+        "no witness family: no position above 4 in family 2 preserves all 7 tuple colors "
+        "(8 tried) (exhaustive=True, stage=shrink)\n"
+    )
+    assert not cert.exists()
+
+
 # ---------------------------------------------------------------------------
 # ramsey
 
@@ -365,6 +378,20 @@ def test_search_rejects_checkpoint_contradicted_by_a_fresh_row(tmp_path, capsys)
                  "--out", str(tmp_path / "scan.csv"), "--checkpoint", str(ckpt)])
     assert code == EXIT_USAGE
     assert "its row M=1 is FORCED but a bad coloring exists at M=2" in capsys.readouterr().err
+
+
+def test_search_refuses_a_least_witness_out_of_first_use_order(tmp_path, capsys):
+    ckpt = tmp_path / "state.json"
+    argv = ["search", "--k", "2", "--r", "2", "--out", str(tmp_path / "scan.csv"),
+            "--checkpoint", str(ckpt)]
+    assert main([*argv, "--m-max", "12"]) == EXIT_OK
+    state = json.loads(ckpt.read_text())
+    state["records"][11]["witness"] = [1 - c for c in state["records"][11]["witness"]]
+    ckpt.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert main([*argv, "--m-max", "13"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "the M=12 witness is marked least but its colors are not in first-use order" in err
 
 
 def test_search_budget_cutoff_writes_the_table_and_exits_4(tmp_path, capsys):

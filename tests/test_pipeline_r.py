@@ -15,8 +15,11 @@ import json
 import re
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ORDER_INVARIANT_DESCRIPTORS,
@@ -244,6 +247,15 @@ def test_iter_level_out_of_range():
         list(iter_canonical_tuples(fams, 3))
 
 
+def test_iter_containing_top_of_names_a_family():
+    # An index past the families used to pass unnoticed and enumerate
+    # every tuple, as if no top were required.
+    fams = layout_families(2, 2).families
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"family index {j} out of range"):
+            list(iter_canonical_tuples(fams, 1, containing_top_of=j))
+
+
 # ---------------------------------------------------------------------------
 # level colors and homogeneity
 
@@ -463,6 +475,124 @@ def test_replacement_validates_inputs():
         replacement_search(oracle, sys0, 2, [[], []], -1)
 
 
+# Before pools were checked, replacement_search returned 0, 0 (reading -1
+# as the last member) and 3 on the first three and raised IndexError on
+# the last two.
+MALFORMED_POOLS = (
+    ([[], [], [], []], "4 pools for 3 families: there is no family 3"),
+    ([[-1], [], []], "the pool of family 0 is [-1], not ascending distinct member positions"),
+    ([[2, 1], [], []], "the pool of family 0 is [2, 1], not ascending"),
+    ([[], []], "2 pools for 3 families: family 2 has no pool"),
+    ([[7], [], []], "the pool of family 0 is [7], not ascending"),
+)
+
+
+@pytest.mark.parametrize(
+    "pools, message",
+    MALFORMED_POOLS,
+    ids=["extra-pool", "negative", "descending", "missing-pool", "past-the-members"],
+)
+def test_malformed_pools_are_refused_naming_the_family(pools, message):
+    sys0 = layout_families(3, 6)
+    oracle = make_oracle("constant:1", 3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replacement_search(oracle, sys0, 0, pools, -1)
+    for l in range(4):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(iter_canonical_tuples(sys0.families, l, pools=pools))
+
+
+def reference_replacement_search(oracle, sys, j, pools, lower, colors=None):
+    """replacement_search as it was before the trade rewrote one slot and
+    kept the accepted colors: every entry equal to the top is replaced,
+    and every candidate tuple is colored afresh.  colors, when given, only
+    memoises the tuples with the top in place."""
+    if not 0 <= j < sys.r:
+        raise ValueError(f"family index {j} out of range")
+    if colors is None:
+        colors = {}
+    floor = max([lower, *pools[j]])
+    constraints = [
+        (t.l, t.entries)
+        for l in range(sys.r + 1)
+        for t in iter_canonical_tuples(sys.families, l, pools=pools, containing_top_of=j)
+    ]
+    family = sys.families[j]
+    candidates = range(floor + 1, sys.member_count)
+    if candidates:
+        for l, entries in constraints:
+            if entries not in colors:
+                colors[entries] = derived(oracle, l, entries)
+    for candidate in candidates:
+        member = family.members[candidate]
+        if all(
+            colors[entries]
+            == derived(oracle, l, tuple(member if e == family.top else e for e in entries))
+            for l, entries in constraints
+        ):
+            return candidate
+    return PipelineFailure(
+        stage="shrink",
+        reason=f"no position above {floor} in family {j} preserves all "
+        f"{len(constraints)} tuple colors ({len(candidates)} tried)",
+        exhaustive=True,
+        family=j,
+    )
+
+
+def shrink_outcome(oracle, sys0, target):
+    """shrink's picks as member lists, or its failure."""
+    outcome = shrink(oracle, sys0, target)
+    if isinstance(outcome, PipelineFailure):
+        return outcome
+    return [f.members for f in outcome.families]
+
+
+@st.composite
+def shrink_cases(draw):
+    r = draw(st.integers(1, 4), label="r")
+    sys0 = system_from_universe(r, draw(st.integers(3 * r, 8 * r), label="n"))
+    m = sys0.member_count
+    # The two structural oracles give color 1, so they need r >= 2.
+    kinds = ["seeded-hash", "position-cut", "primed-top"] if r > 1 else ["seeded-hash"]
+    kind = draw(st.sampled_from(kinds), label="kind")
+    if kind == "seeded-hash":
+        oracle = make_oracle(f"seeded-hash:{draw(st.integers(0, 2**32 - 1), label='seed')}", r)
+    elif kind == "position-cut":
+        oracle = PositionCutOracle(r, sys0, cut=draw(st.integers(0, m), label="cut"))
+    else:
+        oracle = PrimedTopOracle(r, sys0)
+    return oracle, sys0, draw(st.integers(1, m), label="target")
+
+
+@settings(max_examples=150, deadline=None)
+@given(shrink_cases())
+def test_shrink_agrees_with_a_loop_over_the_reference_search(case):
+    # The same pools, or the same failure: stage, round, family and reason.
+    oracle, sys0, target = case
+    expected = shrink_outcome(oracle, sys0, target)
+    with mock.patch.object(pipeline_r, "replacement_search", reference_replacement_search):
+        assert shrink_outcome(oracle, sys0, target) == expected
+
+
+def test_shrink_rejection_matches_the_reference_on_the_pinned_failure():
+    # construct-r --oracle seeded-hash:1 --r 3 --n 45 --m 3 shrinks to 4
+    # members.  Family 0 rejects positions 0 and 1 and takes 2, family 1
+    # rejects 3 and takes 4, and family 2 rejects all 8 positions above 4.
+    oracle = make_oracle("seeded-hash:1", 3)
+    sys0 = system_from_universe(3, 45)
+    outcome = shrink(oracle, sys0, 4)
+    assert outcome == PipelineFailure(
+        stage="shrink",
+        reason="no position above 4 in family 2 preserves all 7 tuple colors (8 tried)",
+        exhaustive=True,
+        round=0,
+        family=2,
+    )
+    with mock.patch.object(pipeline_r, "replacement_search", reference_replacement_search):
+        assert shrink(oracle, sys0, 4) == outcome
+
+
 def test_shrink_interleaves_round_robin_picks():
     sys0 = system_from_universe(3, 45)
     oracle = PositionCutOracle(3, sys0, cut=9)
@@ -485,11 +615,12 @@ def test_shrink_colors_each_top_in_place_tuple_once(monkeypatch):
     # next; shrink must color each of them once.
     searching: list[int] = []
     top_in_place: list[QVec] = []
+    traded: list[QVec] = []
 
     class Recording(PositionCutOracle):
         def _color_impl(self, v):
-            if searching and searching[-1] in v.support:
-                top_in_place.append(v)
+            if searching:
+                (top_in_place if searching[-1] in v.support else traded).append(v)
             return super()._color_impl(v)
 
     search = pipeline_r.replacement_search
@@ -512,6 +643,12 @@ def test_shrink_colors_each_top_in_place_tuple_once(monkeypatch):
     counts = Counter(top_in_place)
     assert len(counts) > 100
     assert max(counts.values()) == 1
+    # PositionCutOracle accepts the first candidate of every search, so
+    # every candidate tuple is a traded tuple of an accepted pick.  Its
+    # color is kept, and no later search colors it again, with a top in
+    # place or as a candidate.
+    assert len(traded) > 100
+    assert max(Counter(top_in_place + traded).values()) == 1
 
 
 def test_shrink_target_validation():
@@ -707,7 +844,7 @@ def test_construct_r_position_cut_payload_and_coloring_count_are_pinned():
         hashlib.sha256(text.encode("utf-8")).hexdigest()
         == "7651db7b3e0a69f4cfbf20fe987abff5c3977a80102f6a9859eb08f6eb4df308"
     )
-    assert len(oracle.seen) == 3687
+    assert len(oracle.seen) == 3213
 
 
 def test_construct_r_shrink_failure_propagates():

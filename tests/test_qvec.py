@@ -87,6 +87,21 @@ def test_support_of_sum_within_union(u, v):
     assert set((u + v).support) <= set(u.support) | set(v.support)
 
 
+@given(qvecs)
+def test_support_and_values_in_order_split_items(v):
+    items = v.items()
+    assert v.support == tuple(index for index, _ in items)
+    assert v.values_in_order() == tuple(value for _, value in items)
+    assert type(v.support) is tuple and type(v.values_in_order()) is tuple
+
+
+def test_support_and_values_in_order_of_a_star_built_vector():
+    v = star(make_string(3, 1), (2, 5, 7, 11))
+    assert v.support == (2, 5, 7, 11)
+    assert v.values_in_order() == (2, 2, 4, 4)
+    assert QVec().support == () == QVec().values_in_order()
+
+
 def test_support_union_is_exact_without_cancellation():
     u = QVec({0: 1, 2: 1})
     v = QVec({1: 1, 2: 1})

@@ -637,6 +637,31 @@ def test_checkpoint_rejects_a_bad_least_flag(tmp_path):
         threshold_scan(2, 2, 14, checkpoint_path=path)
 
 
+def test_checkpoint_rejects_a_least_witness_out_of_first_use_order(tmp_path):
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 12, checkpoint_path=path)
+    state = json.loads(path.read_text())
+    row = state["records"][11]
+    assert (row["M"], row["least"], tuple(row["witness"])) == (12, True, WITNESS_M12)
+    # With its two colors swapped the witness is still bad, so the re-check
+    # on load passes, but it no longer starts with color 0.  Trusted as the
+    # least, it made the M = 13 search skip every task and report FORCED.
+    row["witness"] = [1 - c for c in row["witness"]]
+    assert not in_first_use_order(row["witness"])
+    path.write_text(json.dumps(state))
+    message = (
+        f"checkpoint {path}: the M=12 witness is marked least but its colors "
+        "are not in first-use order"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold_scan(2, 2, 13, checkpoint_path=path)
+    # Not marked least, the same witness starts no chain.
+    row["least"] = False
+    path.write_text(json.dumps(state))
+    resumed = threshold_scan(2, 2, 13, checkpoint_path=path)
+    assert (resumed[-1].verdict, resumed[-1].witness.colors) == (ESCAPABLE, WITNESS_M13)
+
+
 def test_checkpoint_rejects_a_missing_row(tmp_path):
     path = tmp_path / "scan.json"
     threshold_scan(2, 2, 5, checkpoint_path=path)
