@@ -9,14 +9,15 @@ tables (lookup-table in memory, external-table-file on disk, both strict
 about unmapped vectors), a constant oracle, and a wrapper that forces
 invariance under order isomorphisms of the coordinate indices.
 
-A color is a pure function of the vector, and color keeps nothing
+A color is a pure function of the vector, and no oracle keeps anything
 between calls.  The pipelines color index tuples, not vectors, and
 TupleColoring caches by index tuple.  derived is the single place where a
 level tuple becomes a vector.  A kind whose color depends only on the
 values read in increasing support order declares order_invariant (the
-structural kinds, constant and the wrapper).  Every level-l tuple then
-has one color, so such an oracle keeps its level colors: derived fills a
-table of at most r + 1 of them on first use and never stores an error.
+structural kinds, constant and the wrapper).  Every strictly increasing
+level-l tuple of naturals then has one color, and the code that colors
+level tuples in bulk (pipeline2's derived colorings, pipeline_r's level
+check) colors one such tuple per level and reuses its color.
 
 verify_witness colors every pairwise sum of a witness set X (doubles
 included) and certifies one color or names two sums that disagree.
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .pattern import is_increasing_naturals, make_string, star
+from .pattern import make_string, star
 from .qvec import QVec, sumset
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -55,8 +56,8 @@ class ColoringOracle:
     """Base class: deterministic total coloring of QVecs with r colors.
 
     order_invariant declares that the color depends only on the values in
-    increasing support order; derived relies on it, so a kind sets it only
-    when that holds for every vector.
+    increasing support order; the bulk level colorings rely on it, so a
+    kind sets it only when that holds for every vector.
     """
 
     order_invariant = False
@@ -180,8 +181,7 @@ class OrderInvariantOracle(ColoringOracle):
     segment 0..k-1, so the color can depend only on the sequence of values
     read in increasing support order, and the kind declares
     order_invariant.  The wrapper keeps no state of its own: each color
-    call squashes and asks the inner oracle.  derived keeps the level
-    colors, so a pipeline asks the inner oracle once per level pattern.
+    call squashes and asks the inner oracle.
     """
 
     order_invariant = True
@@ -242,23 +242,10 @@ def make_oracle(descriptor: str, r: int) -> ColoringOracle:
 def derived(oracle: ColoringOracle, l: int, indices: Sequence[int]) -> int:
     """d_l: color of the level-l pattern placed on the given index set.
 
-    make_string rejects an l outside [0, r] and star an index set whose
-    length is not r + l.  When the oracle declares order_invariant and the
-    indices pass star's fast-path test, every such index set carries the
-    level's values in one order, so the color comes from the oracle's
-    table of level colors, filled by coloring the first one.  Every other
-    input is colored through star and raises what star raises.
+    make_string rejects an l outside [0, r], and star an index set that is
+    not r + l pairwise distinct naturals.
     """
-    pattern = make_string(oracle.r, l)
-    idx = tuple(indices)
-    if not (oracle.order_invariant and is_increasing_naturals(idx, len(pattern))):
-        return oracle.color(star(pattern, idx))
-    levels = vars(oracle).setdefault("_level_colors", {})
-    color = levels.get(l)
-    if color is None:
-        # An error raised here stores nothing.
-        color = levels[l] = oracle.color(star(pattern, idx))
-    return color
+    return oracle.color(star(make_string(oracle.r, l), indices))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,11 @@ fill out s_2 on four indices.  Pipeline2Certificate.recheck re-checks
 the written certificate; a failed homogenization is an oracle.PipelineFailure.
 
 Each d_l is a TupleColoring over oracle.derived, the single place where a
-level tuple becomes a vector; its index-tuple memo is the only cache.
+level tuple becomes a vector; its index-tuple memo is the only cache.  A
+TupleColoring only takes strictly increasing tuples from range(universe),
+so for an oracle that declares order_invariant all of them share one
+color per level: d_l colors the first tuple it is asked about and gives
+every later one that color.
 """
 
 from __future__ import annotations
@@ -118,10 +122,25 @@ def derived_tuple_colorings(oracle: ColoringOracle, universe: int) -> list[Tuple
             arity=oracle.r + l,
             colors=oracle.r,
             universe=universe,
-            evaluate=lambda tup, l=l: derived(oracle, l, tup),
+            evaluate=_level_evaluator(oracle, l),
         )
         for l in range(oracle.r + 1)
     ]
+
+
+def _level_evaluator(oracle: ColoringOracle, l: int):
+    """d_l through derived; under order_invariant, the first color is kept
+    for every later tuple.  An error keeps nothing."""
+    if not oracle.order_invariant:
+        return lambda tup: derived(oracle, l, tup)
+    kept: list[int] = []
+
+    def evaluate(tup):
+        if not kept:
+            kept.append(derived(oracle, l, tup))
+        return kept[0]
+
+    return evaluate
 
 
 def _case_witnesses(case: Case, members: tuple[int, ...], top: int, m: int) -> list[QVec]:

@@ -31,10 +31,10 @@ budget (exhaustive=False).
 
 Every level tuple is colored through oracle.derived, the single place
 where a level tuple becomes a vector.  When the oracle declares
-order_invariant and every coordinate of the system is a natural,
-derived gives every index-strictly-increasing tuple of a level the color
-of its first one, so check_levels colors that tuple and counts the rest
-with level_size instead of enumerating them.
+order_invariant and the system's coordinates are strictly increasing
+naturals, every index-strictly-increasing tuple of a level has strictly
+increasing natural entries and so the color of the level's first tuple;
+check_levels colors that tuple only.
 
 iter_canonical_tuples is the one enumerator of level tuples for every
 stage.  shrink keeps one map of tuple colors across its searches: the
@@ -49,7 +49,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import combinations, product, repeat
-from math import comb
 from typing import Iterator, Sequence
 
 from .oracle import (
@@ -282,30 +281,14 @@ def _rising_vectors(positions, coords, top_coords, l):
             vector_coords.pop()
 
 
-def level_size(r: int, m: int, l: int) -> int:
-    """Number of index-strictly-increasing l-canonical tuples over r
-    families of m members each, as iter_canonical_tuples yields them.
-
-    An index vector holds j >= max(l, 1) rising member positions, the
-    largest being b, and then TOP; there are C(b, j - 1) of them, and each
-    of the l paired blocks has m - b primed choices above b, its top
-    included.  At level 0 the all-TOP vector adds one more.
-    """
-    if not 0 <= l <= r:
-        raise ValueError(f"level {l} out of range for {r} families")
-    return (l == 0) + sum(
-        comb(b, j - 1) * (m - b) ** l for j in range(max(l, 1), r + 1) for b in range(j - 1, m)
-    )
-
-
 @dataclass(frozen=True)
 class LevelReport:
-    """One level of check_levels.  tuple_count is the level's size when it
-    is constant, otherwise the number of tuples colored, up to and
-    including the counterexample's second tuple.  A constant level of an
-    order-invariant oracle on a system of naturals is sized by level_size
-    and only its first tuple is colored.  A level with no tuples is not
-    constant and has no counterexample."""
+    """One level of check_levels.  tuple_count is the number of tuples
+    colored: the whole level when it is walked and constant, up to and
+    including the counterexample's second tuple when it is not, and 1 for
+    a level of an order-invariant oracle on a system of naturals, whose
+    first tuple stands for all.  A level with no tuples is not constant,
+    has no counterexample and a tuple_count of 0."""
 
     level: int
     constant: bool
@@ -341,15 +324,13 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
     differs from the first tuple's.  The check stops with it, so the
     report ends at the first level that is not constant: tuples after the
     counterexample and the levels above it are never colored, and a strict
-    table oracle need not map them.  When every level is constant, every
-    tuple of every level has been colored, with one exception.
+    table oracle need not map them.
 
     When the oracle declares order_invariant and the system's coordinates
     (each family's members, then its top, in family order) are strictly
     increasing naturals, every index-strictly-increasing tuple has
-    strictly increasing entries, and derived gives each of them the color
-    of the level's first tuple.  Each level then colors its first tuple
-    only and takes its tuple_count from level_size.
+    strictly increasing natural entries, so all tuples of a level share
+    one color: each level colors its first tuple and stops.
     """
     if oracle.r != sys.r:
         raise ValueError(f"oracle has r={oracle.r}, system has r={sys.r}")
@@ -366,7 +347,6 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
             if first is None:
                 first = (t, c)
                 if counted:
-                    count = level_size(sys.r, sys.member_count, l)
                     break
             elif c != first[1]:
                 counterexample = (first[0], first[1], t, c)

@@ -17,9 +17,8 @@ public constructor, parse, + and scale establish it by checking every
 entry.  _from_sorted is the one trusted constructor: it takes pairs that
 already satisfy the invariant and checks nothing, so only callers that
 guarantee it by construction use it (star and the order-invariant squash).
-The hash and the index-to-value map are computed on first use, not at
-construction, since most vectors built on the hot path are colored once
-and never hashed or looked up by index.
+The hash is computed on first use, not at construction, since most
+vectors built on the hot path are colored once and never hashed.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def _as_fraction(value: RationalLike) -> Fraction:
 class QVec:
     """Immutable finitely supported vector of rationals, indexed by naturals."""
 
-    __slots__ = ("_items", "_map", "_hash")
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, entries: Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]] = ()):
         if isinstance(entries, Mapping):
@@ -62,7 +61,6 @@ class QVec:
             if frac != 0:
                 cleaned[index] = frac
         self._items: tuple[tuple[int, Fraction], ...] = tuple(sorted(cleaned.items()))
-        self._map: dict[int, Fraction] | None = cleaned
         self._hash: int | None = None
 
     @classmethod
@@ -71,7 +69,6 @@ class QVec:
         nonzero Fraction) pairs in strictly increasing index order."""
         v = object.__new__(cls)
         v._items = items
-        v._map = None
         v._hash = None
         return v
 
@@ -79,13 +76,8 @@ class QVec:
     def support(self) -> tuple[int, ...]:
         return tuple(map(_index_of, self._items))
 
-    def _mapping(self) -> dict[int, Fraction]:
-        if self._map is None:
-            self._map = dict(self._items)
-        return self._map
-
     def value(self, index: int) -> Fraction:
-        return self._mapping().get(index, Fraction(0))
+        return next((value for i, value in self._items if i == index), Fraction(0))
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self._items

@@ -45,6 +45,7 @@ class TupleColoring:
         self.arity = arity
         self.colors = colors
         self.universe = universe
+        self._points = range(universe)
         self.evaluate = evaluate
         self._memo: dict[tuple[int, ...], int] = {}
 
@@ -56,6 +57,8 @@ class TupleColoring:
                 raise ValueError(f"expected arity {self.arity}, got {len(key)}")
             if not all(map(operator.lt, key, key[1:])):
                 raise ValueError(f"tuple must be strictly increasing, got {key}")
+            if not all(map(self._points.__contains__, key)):
+                raise ValueError(f"tuple must lie in range({self.universe}), got {key}")
             cached = self.evaluate(key)
             if not 0 <= cached < self.colors:
                 raise RuntimeError(f"coloring produced out-of-range color {cached}")

@@ -7,8 +7,10 @@ here so the per-module tests and test_acceptance use the same copies.
 level_pattern_table builds the tables behind profile_oracle.
 ORDER_INVARIANT_DESCRIPTORS names one oracle of each kind that declares
 order_invariant, and undeclared re-classes an oracle so that it no
-longer declares it.  support_of and with_support read and mutate a
-SupportAssignment for the coherence-checker tests.
+longer declares it.  outcome_of turns a call into what it returns or
+raises, so that two calls can be compared either way.  support_of and
+with_support read and mutate a SupportAssignment for the
+coherence-checker tests.
 """
 
 from __future__ import annotations
@@ -117,10 +119,18 @@ ORDER_INVARIANT_DESCRIPTORS = (
 
 def undeclared(oracle: ColoringOracle) -> ColoringOracle:
     """The same oracle as an instance of a subclass that does not declare
-    order_invariant, so derived colors every tuple through star."""
+    order_invariant, so every level tuple is colored through star."""
     cls = type(oracle)
     oracle.__class__ = type(f"Undeclared{cls.__name__}", (cls,), {"order_invariant": False})
     return oracle
+
+
+def outcome_of(call):
+    """The value a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def support_of(assignment: SupportAssignment, u: Iterable[int]) -> tuple[int, ...]:

@@ -122,13 +122,15 @@ def test_level_color_table_leaves_certificates_unchanged(argv, tmp_path, monkeyp
     declared, made = sumsetlab.cli.make_oracle, []
 
     def make_undeclared(descriptor, r):
-        made.append(undeclared(declared(descriptor, r)))
-        return made[-1]
+        o = undeclared(declared(descriptor, r))
+        made.append((o, dict(vars(o))))
+        return o
 
     monkeypatch.setattr(sumsetlab.cli, "make_oracle", make_undeclared)
     run_ok([*argv, "--out", str(plain)])
-    assert made and not any(o.order_invariant for o in made)
-    assert "_level_colors" not in vars(made[0])
+    assert made and not any(o.order_invariant for o, _ in made)
+    # The oracles come out of the run as they went in.
+    assert all(vars(o) == built for o, built in made)
     assert fast.read_bytes() == plain.read_bytes()
 
 
@@ -740,8 +742,9 @@ def test_verify_rejects_tampered_ramsey_color(tmp_path, capsys):
 def test_verify_ramsey_does_not_trust_the_order_invariant_declaration(
     tmp_path, capsys, monkeypatch
 ):
-    # A false declaration makes derived give every level tuple the color of
-    # the first one, so ramsey claims a set that the direct re-check refutes.
+    # A false declaration makes the derived coloring give every level tuple
+    # the color of the first one, so ramsey claims a set that the direct
+    # re-check refutes.
     monkeypatch.setattr(SeededHashOracle, "order_invariant", True)
     cert = tmp_path / "ram.json"
     run_ok(["ramsey", "--oracle", "seeded-hash:1", "--r", "2", "--level", "1", "--n", "12",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ORDER_INVARIANT_DESCRIPTORS, level_pattern_table
+from conftest import ORDER_INVARIANT_DESCRIPTORS, level_pattern_table, outcome_of
 from sumsetlab.deltasys import order_iso, relabel
 from sumsetlab.oracle import (
     ColoringOracle,
@@ -32,8 +32,15 @@ from sumsetlab.oracle import (
     verify_witness,
 )
 from sumsetlab.pattern import make_string, star
-from sumsetlab.pipeline_r import PipelineRCertificate, construct_r
+from sumsetlab.pipeline2 import construct2, derived_tuple_colorings
+from sumsetlab.pipeline_r import (
+    PipelineRCertificate,
+    check_levels,
+    construct_r,
+    system_from_universe,
+)
 from sumsetlab.qvec import QVec
+from sumsetlab.ramsey import greedy_end_homogeneous
 
 indices = st.integers(min_value=0, max_value=63)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(
@@ -161,14 +168,6 @@ def test_derived_agrees_with_direct_star_recomputation():
                     assert derived(o, l, tup) == expected
 
 
-def _outcome(call):
-    """The value a call returns, or the type and message of what it raises."""
-    try:
-        return call()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def _derived_kinds(r):
     """Every built-in kind, strict tables over the level patterns included."""
     table = level_pattern_table(r, [l % r for l in range(r + 1)])
@@ -188,26 +187,32 @@ levels = st.one_of(st.integers(-1, 4), st.sampled_from((1.0, True, False)))
 
 @given(st.sampled_from((2, 3)), st.lists(st.tuples(levels, index_sets), max_size=12))
 def test_derived_matches_star_for_every_kind_and_input(r, queries):
-    # One long-lived oracle per kind answers the whole run of queries, so a
-    # level color kept by an earlier query is what a later one sees.
+    # One long-lived oracle per kind answers the whole run of queries, so
+    # anything an earlier query left behind would show in a later one.
     for o in _derived_kinds(r):
         for l, idx in queries:
             # color keeps nothing, so o itself gives the direct answer.
-            expected = _outcome(lambda: o.color(star(make_string(r, l), idx)))
-            assert _outcome(lambda: derived(o, l, idx)) == expected
+            expected = outcome_of(lambda: o.color(star(make_string(r, l), idx)))
+            assert outcome_of(lambda: derived(o, l, idx)) == expected
 
 
 def test_wrapper_over_a_table_without_one_level_raises_only_there():
     table = level_pattern_table(2, (0, 1, 1))
     del table[star(make_string(2, 1), range(3)).serialize()]
     o = OrderInvariantOracle(LookupTableOracle(2, table))
+    d0, d1, d2 = derived_tuple_colorings(o, 6)
+    asked = []
+    inner_color = o.inner.color
+    o.inner.color = lambda v: asked.append(v) or inner_color(v)
     for _ in range(2):
         for tup in combinations(range(6), 3):
             with pytest.raises(UnmappedVector):
-                derived(o, 1, tup)
-        assert [derived(o, 0, tup) for tup in combinations(range(6), 2)] == [0] * 15
-        assert [derived(o, 2, tup) for tup in combinations(range(6), 4)] == [1] * 15
-    assert vars(o)["_level_colors"] == {0: 0, 2: 1}
+                d1.color(tup)
+        assert [d0.color(tup) for tup in combinations(range(6), 2)] == [0] * 15
+        assert [d2.color(tup) for tup in combinations(range(6), 4)] == [1] * 15
+    # d_1 keeps no error, so each of its 2 * 20 queries asks again; d_0
+    # and d_2 each ask once and keep that color.
+    assert len(asked) == 2 * 20 + 2
 
 
 def _state(oracle):
@@ -217,13 +222,36 @@ def _state(oracle):
     }
 
 
-def test_oracles_are_stateless():
+def test_oracles_are_stateless(tmp_path):
     vectors = [QVec({i: 2, j: 4}) for i, j in combinations(range(80), 2)]
     o = make_oracle("seeded-hash:3", 3)
     before = _state(o)
     colors = [o.color(v) for v in vectors]
     assert _state(o) == before
     assert [o.color(v) for v in vectors] == colors
+    # Every kind, through every stage that colors level tuples; a strict
+    # table raises on the unmapped vectors it meets and keeps nothing either.
+    table = tmp_path / "table.tsv"
+    table.write_text("".join(f"{k}\t{c}\n" for k, c in level_pattern_table(2, (0, 1, 1)).items()))
+    descriptors = (
+        *ORDER_INVARIANT_DESCRIPTORS,
+        "seeded-hash:7",
+        f"lookup-table:{table}",
+        f"external-table-file:{table}",
+        f"order-invariant-wrapper:lookup-table:{table}",
+    )
+    for descriptor in descriptors:
+        o = make_oracle(descriptor, 2)
+        before = _state(o)
+        stages = (
+            lambda: [derived(o, l, range(5, 7 + l)) for l in range(3)],
+            lambda: check_levels(o, system_from_universe(2, 16)),
+            lambda: construct2(o, 16, 4),
+            lambda: greedy_end_homogeneous(derived_tuple_colorings(o, 12)[1], 5),
+        )
+        for stage in stages:
+            outcome_of(stage)
+            assert _state(o) == before, descriptor
 
 
 def _squashed(v):
@@ -231,7 +259,7 @@ def _squashed(v):
     return QVec(enumerate(v.values_in_order()))
 
 
-def test_order_invariant_wrapper_keeps_only_its_last_color():
+def test_order_invariant_wrapper_colors_the_squashed_vector_and_keeps_nothing():
     # The wrapper keeps no state of its own: in order, shuffled and
     # repeated, every color is the inner color of the squashed vector.
     # The mirrored vectors give a second value sequence to alternate with.
@@ -246,14 +274,11 @@ def test_order_invariant_wrapper_keeps_only_its_last_color():
         assert colors == [inner.color(_squashed(v)) for v in batch]
         assert [o.color(v) for v in batch] == colors
     assert set(vars(o)) == {"r", "kind", "inner"}
-    # derived keeps the level colors, at most r + 1 of them, on the oracle.
+    # derived colors each level pattern through the wrapper and keeps nothing.
     assert [derived(o, l, range(7, 10 + l)) for l in range(4)] == [
         inner.color(star(make_string(3, l), range(3 + l))) for l in range(4)
     ]
-    assert set(vars(o)) == {"r", "kind", "inner", "_level_colors"}
-    assert vars(o)["_level_colors"] == {
-        l: inner.color(star(make_string(3, l), range(3 + l))) for l in range(4)
-    }
+    assert set(vars(o)) == {"r", "kind", "inner"}
 
 
 @given(
@@ -262,7 +287,7 @@ def test_order_invariant_wrapper_keeps_only_its_last_color():
         max_size=12,
     )
 )
-def test_order_invariant_memo_is_transparent(runs):
+def test_long_lived_order_invariant_wrapper_answers_like_a_fresh_one(runs):
     # Each run repeats a vector back to back, shifted by a fixed stride: a
     # stride of 0 repeats it exactly, any other stride keeps its values.
     queries = [
@@ -276,7 +301,7 @@ def test_order_invariant_memo_is_transparent(runs):
     ]
 
 
-def test_order_invariant_memo_stores_no_inner_error():
+def test_order_invariant_wrapper_raises_every_inner_error_again():
     o = OrderInvariantOracle(LookupTableOracle(2, {QVec({0: 2}).serialize(): 1}))
     assert o.color(QVec({3: 2})) == 1
     for _ in range(2):
@@ -309,7 +334,7 @@ class _CountingHash(SeededHashOracle):
 
 class _SquashEveryQuery(ColoringOracle):
     """The order-invariant wrapper without the order_invariant declaration,
-    so derived colors every level tuple through star."""
+    so every level tuple is colored through star."""
 
     def __init__(self, inner):
         super().__init__(inner.r, "order-invariant-wrapper")

@@ -3,8 +3,16 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ContainsFourOracle, profile_oracle
+from conftest import (
+    ORDER_INVARIANT_DESCRIPTORS,
+    ContainsFourOracle,
+    outcome_of,
+    profile_oracle,
+    undeclared,
+)
 from sumsetlab.oracle import (
     ConstantOracle,
     FourCountOracle,
@@ -55,6 +63,35 @@ def test_derived_colorings_have_arities_two_three_four():
     assert fs[0].color((1, 5)) == 0
     assert fs[1].color((1, 5, 7)) == 1
     assert fs[2].color((1, 5, 7, 9)) == 0
+
+
+@st.composite
+def level_queries(draw, r, universe):
+    """(level, strictly increasing tuple) pairs, some reaching outside
+    range(universe) or of the wrong arity for their level."""
+    queries = []
+    for _ in range(draw(st.integers(0, 30))):
+        l = draw(st.integers(0, r))
+        size = min(draw(st.sampled_from((r + l, r + l, r + l, r + l - 1))), universe + 2)
+        points = draw(st.sets(st.integers(-1, universe), min_size=size, max_size=size))
+        queries.append((l, tuple(sorted(points))))
+    return queries
+
+
+@pytest.mark.parametrize("descriptor", ORDER_INVARIANT_DESCRIPTORS)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_level_color_answers_like_an_undeclared_oracle(descriptor, data):
+    r = data.draw(st.integers(2, 3))
+    universe = data.draw(st.integers(r, 9))
+    queries = data.draw(level_queries(r, universe))
+    order = data.draw(st.permutations(range(len(queries))))
+    kept = derived_tuple_colorings(make_oracle(descriptor, r), universe)
+    walked = derived_tuple_colorings(undeclared(make_oracle(descriptor, r)), universe)
+    expected = {k: outcome_of(lambda: walked[queries[k][0]].color(queries[k][1])) for k in order}
+    assert [outcome_of(lambda: kept[l].color(t)) for l, t in queries] == [
+        expected[k] for k in range(len(queries))
+    ]
 
 
 def test_case1_witness_identities():

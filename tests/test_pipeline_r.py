@@ -55,7 +55,6 @@ from sumsetlab.pipeline_r import (
     iter_canonical_tuples,
     last_step,
     layout_families,
-    level_size,
     make_witness_tuples,
     pigeonhole_pair,
     replacement_search,
@@ -274,10 +273,8 @@ def test_check_levels_four_count():
     report = check_levels(oracle, sys0)
     assert report.all_constant
     assert report.colors == (0, 1, 0)
-    # Every level is constant, so tuple_count is the whole level.
-    for l, lvl in enumerate(report.levels):
-        tuples = list(iter_canonical_tuples(sys0.families, l, index_strict=True))
-        assert lvl.tuple_count == len(tuples) > 0
+    # four-count declares order_invariant, so each level colors one tuple.
+    assert [lvl.tuple_count for lvl in report.levels] == [1, 1, 1]
 
 
 def test_check_levels_profile_oracle():
@@ -347,18 +344,6 @@ def test_check_levels_rejects_r_mismatch():
         check_levels(make_oracle("four-count", 3), system_from_universe(2, 12))
 
 
-def test_level_size_matches_enumeration():
-    for r in range(1, 6):
-        for m in range(9):
-            families = select_positions(layout_families(r, 8), range(m)).families
-            for l in range(r + 1):
-                tuples = iter_canonical_tuples(families, l, index_strict=True)
-                assert level_size(r, m, l) == len(list(tuples)), (r, m, l)
-    for l in (-1, 4):
-        with pytest.raises(ValueError):
-            level_size(3, 4, l)
-
-
 COUNTED_SYSTEMS = {
     "universe-2-12": system_from_universe(2, 12),
     "universe-3-24": system_from_universe(3, 24),
@@ -378,14 +363,20 @@ def test_check_levels_counts_what_full_enumeration_colors(descriptor, name):
     color = oracle.color
     oracle.color = lambda v: colored.append(v) or color(v)
     report = check_levels(oracle, sys0)
-    assert report == check_levels(undeclared(make_oracle(descriptor, sys0.r)), sys0)
-    # Only the first tuple of each level is colored.
+    walked = check_levels(undeclared(make_oracle(descriptor, sys0.r)), sys0)
+
+    def verdicts(levels):
+        return [(lvl.level, lvl.constant, lvl.color, lvl.counterexample) for lvl in levels]
+
+    assert verdicts(report.levels) == verdicts(walked.levels)
+    # Only the first tuple of each level is colored, and counted.
     assert len(colored) == len(report.levels) - (not report.all_constant)
     if name == "one-member":
         assert [lvl.constant for lvl in report.levels] == [True, True, False]
-        assert report.levels[-1].tuple_count == 0
+        assert [lvl.tuple_count for lvl in report.levels] == [1, 1, 0]
     else:
         assert report.all_constant
+        assert [lvl.tuple_count for lvl in report.levels] == [1] * (sys0.r + 1)
 
 
 @pytest.mark.parametrize("members, top, bad", [

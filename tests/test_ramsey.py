@@ -50,6 +50,16 @@ def test_tuple_coloring_validates_inputs():
         TupleColoring(1, 2, 4, lambda t: 9).color((0,))
 
 
+def test_tuple_coloring_refuses_points_outside_its_universe():
+    asked = []
+    f = TupleColoring(2, 2, 6, lambda t: asked.append(t) or 0)
+    for tup in ((-1, 2), (3, 6), (0, 7)):
+        with pytest.raises(ValueError, match=r"range\(6\)"):
+            f.color(tup)
+    assert f.color((0, 5)) == 0
+    assert asked == [(0, 5)]
+
+
 def test_brute_constant_returns_initial_segment():
     found = brute_homogeneous(constant_coloring(2, 8), 4)
     assert isinstance(found, HomogeneousSet)
