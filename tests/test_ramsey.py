@@ -1,8 +1,10 @@
 """Homogeneous-set searches: brute scan, end-agreement greedy, multi-level."""
 
 import gc
+import inspect
 import math
 import random
+import sys
 import weakref
 from itertools import combinations
 
@@ -150,6 +152,17 @@ def test_greedy_frees_the_coloring_without_cyclic_collection(make, budget):
             gc.enable()
 
 
+def test_greedy_chain_length_is_not_bounded_by_the_recursion_limit():
+    # A chain of 150 points under a limit only 100 frames above the caller's.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        found = greedy_end_homogeneous(TupleColoring(2, 2, 160, lambda t: 0), 150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == HomogeneousSet(members=tuple(range(150)), top=159, colors=(0,))
+
+
 def test_greedy_stops_once_the_first_m_chain_points_are_constant():
     # Extracting only at the maximal chain (all 39 points below the top)
     # colors 90,687 tuples here; extracting at 12 chain points, 5,170.
@@ -197,14 +210,19 @@ def test_greedy_adversarial_last_slot_color_fails_exhaustively():
     f = TupleColoring(3, 2, 5, lambda t: 1 if t[2] == 4 else 0)
     outcome = greedy_end_homogeneous(f, 4)
     assert isinstance(outcome, NoHomogeneousSet)
-    assert outcome.exhaustive
+    assert outcome.exhaustive and outcome.nodes == 11
     assert verify_homogeneous([f], (0, 1, 2, 3), top=4) is not None
 
 
 def test_greedy_pentagon_notfound_is_exhaustive():
     outcome = greedy_end_homogeneous(pentagon_coloring(), 3)
     assert isinstance(outcome, NoHomogeneousSet)
-    assert outcome.exhaustive
+    assert outcome.exhaustive and outcome.nodes == 12
+
+
+def test_greedy_budget_counts_the_node_that_crosses_it():
+    outcome = greedy_end_homogeneous(pentagon_coloring(), 3, budget=1)
+    assert outcome == NoHomogeneousSet(reason="budget exceeded", exhaustive=False, nodes=2)
 
 
 @settings(max_examples=300, deadline=None)
