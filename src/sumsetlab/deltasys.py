@@ -135,9 +135,17 @@ class SupportAssignment:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SupportAssignment":
-        table = {
-            frozenset(entry["u"]): tuple(entry["support"]) for entry in payload["W"]
-        }
+        """The assignment a to_payload dict describes.  A domain set listed
+        twice, or listing one of its elements twice, is refused rather than
+        letting one entry silently stand for another."""
+        table = {}
+        for entry in payload["W"]:
+            u = frozenset(entry["u"])
+            if len(u) != len(entry["u"]):
+                raise ValueError(f"domain set u = {list(entry['u'])} lists an element twice")
+            if u in table:
+                raise ValueError(f"domain set u = {list(entry['u'])} is listed twice")
+            table[u] = tuple(entry["support"])
         return cls(E=tuple(payload["E"]), d=int(payload["d"]), W=table)
 
     @classmethod
@@ -169,19 +177,24 @@ class CheckReport:
 
 
 def check_cl3(assignment: SupportAssignment) -> CheckReport:
-    """Intersection law over every unordered pair of domain sets."""
+    """Intersection law over every unordered pair of domain sets.
+
+    Each support becomes a frozenset once, so a pair costs one
+    intersection and one comparison; the meet is sorted only to describe
+    a failure.  checks counts the pairs, each set paired with itself too.
+    """
+    W = assignment.W
+    subsets = sorted(W, key=lambda u: (len(u), sorted(u)))
+    sets = {u: frozenset(W[u]) for u in subsets}
     violations = []
-    checks = 0
-    subsets = sorted(assignment.W, key=lambda u: (len(u), sorted(u)))
     for u, v in combinations_with_replacement(subsets, 2):
-        checks += 1
-        meet = tuple(sorted(set(assignment.W[u]) & set(assignment.W[v])))
-        expected = assignment.W[u & v]
-        if meet != expected:
+        meet = sets[u] & sets[v]
+        if meet != sets[u & v]:
             violations.append(
-                f"W({_sorted_subset(u)}) & W({_sorted_subset(v)}) = {meet}, "
-                f"but W({_sorted_subset(u & v)}) = {expected}"
+                f"W({_sorted_subset(u)}) & W({_sorted_subset(v)}) = {tuple(sorted(meet))}, "
+                f"but W({_sorted_subset(u & v)}) = {W[u & v]}"
             )
+    checks = len(subsets) * (len(subsets) + 1) // 2
     return CheckReport(law="CL3", violations=tuple(violations), checks=checks)
 
 
@@ -202,10 +215,18 @@ def check_cl4(assignment: SupportAssignment, cl3: CheckReport) -> CheckReport:
     The order isomorphism of W(u2) onto W(u2') then restricts on W(u1) to
     that of W(u1) onto W(u1') exactly when W(u1) has the same ranks inside
     W(u2) as W(u1') has inside W(u2'); and h(W(u), W(v)) sends u to v
-    exactly when u has the same ranks in W(u) as v has in W(v).  Each rank
-    tuple is computed once.  The pairs are visited as quadruples
-    (u1, u2, u1', u2') with u1, u1' at the same positions of u2, u2', one
-    check each, and OrderIso objects are built only to describe a failure.
+    exactly when u has the same ranks in W(u) as v has in W(v).
+
+    Each u2 gets one rank table for W(u2) and one signature: the ranks
+    of W(u1) inside W(u2) for every u1 taken at a position set of u2, in a
+    fixed order of the position sets.  A pair (u2, u2') stands for one check
+    per position set, and its checks all pass exactly when the two whole
+    signatures are equal; only a pair whose signatures differ is compared
+    position by position, to name each failing u1.  A size class whose
+    signatures are all equal is skipped outright, and so is the h(u) = v
+    clause of a size class whose own rank tuples are all equal.  checks is
+    the number of pairs and quadruples these comparisons stand for, and
+    OrderIso objects are built only to describe a failure.
     """
     preconditions = []
     if not cl3.clean:
@@ -234,10 +255,12 @@ def check_cl4(assignment: SupportAssignment, cl3: CheckReport) -> CheckReport:
         (size, sorted(sets, key=_sorted_subset)) for size, sets in sorted(by_size.items())
     ]
     for _, ordered in ordered_by_size:
+        checks += len(ordered) ** 2
         own = {u: _ranks(_sorted_subset(u), W[u]) for u in ordered}
+        if len(set(own.values())) == 1:
+            continue
         for u in ordered:
             for v in ordered:
-                checks += 1
                 if own[u] != own[v]:
                     image = order_iso(W[u], W[v]).map_set(u)
                     violations.append(
@@ -248,18 +271,25 @@ def check_cl4(assignment: SupportAssignment, cl3: CheckReport) -> CheckReport:
         positions_list = [
             positions for k in range(size + 1) for positions in combinations(range(size), k)
         ]
+        checks += len(ordered) ** 2 * len(positions_list)
         # For each u2, the subsets u1 taken at each position set, and the
         # ranks of W(u1) inside W(u2).
         u1s = {}
-        nested = {}
+        signature = {}
         for u2 in ordered:
             big = _sorted_subset(u2)
+            rank = {x: i for i, x in enumerate(W[u2])}
             u1s[u2] = [frozenset(big[p] for p in positions) for positions in positions_list]
-            nested[u2] = [_ranks(W[u1], W[u2]) for u1 in u1s[u2]]
+            signature[u2] = tuple(tuple(rank[x] for x in W[u1]) for u1 in u1s[u2])
+        if len(set(signature.values())) == 1:
+            continue
         for u2 in ordered:
             for u2p in ordered:
-                for u1, u1p, ranks, ranksp in zip(u1s[u2], u1s[u2p], nested[u2], nested[u2p]):
-                    checks += 1
+                if signature[u2] == signature[u2p]:
+                    continue
+                for u1, u1p, ranks, ranksp in zip(
+                    u1s[u2], u1s[u2p], signature[u2], signature[u2p]
+                ):
                     if ranks == ranksp:
                         continue
                     outer = order_iso(W[u2], W[u2p])

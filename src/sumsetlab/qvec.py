@@ -13,10 +13,12 @@ the empty string.
 
 Every QVec keeps one invariant: its entries are (index, value) pairs with
 strictly increasing natural indices and nonzero Fraction values.  The
-public constructor, parse, + and scale establish it by checking every
-entry.  _from_sorted is the one trusted constructor: it takes pairs that
-already satisfy the invariant and checks nothing, so only callers that
-guarantee it by construction use it (star and the order-invariant squash).
+public constructor and parse establish it by checking every entry.
+_from_sorted is the one trusted constructor: it takes pairs that already
+satisfy the invariant and checks nothing, so only callers that guarantee
+it by construction use it.  Those are star, the order-invariant squash,
++ (which drops every coordinate that cancels and sorts the merged
+indices) and scale (a nonzero scalar times a nonzero value is nonzero).
 The hash is computed on first use, not at construction, since most
 vectors built on the hot path are colored once and never hashed.
 """
@@ -106,18 +108,21 @@ class QVec:
             return NotImplemented
         merged = dict(self._items)
         for index, value in other._items:
-            new = merged.get(index, Fraction(0)) + value
-            if new == 0:
-                merged.pop(index, None)
+            if index in merged:
+                new = merged[index] + value
+                if new:
+                    merged[index] = new
+                else:
+                    del merged[index]
             else:
-                merged[index] = new
-        return QVec(merged)
+                merged[index] = value
+        return QVec._from_sorted(tuple(sorted(merged.items())))
 
     def scale(self, scalar: RationalLike) -> "QVec":
         c = _as_fraction(scalar)
         if c == 0:
             return QVec()
-        return QVec({index: c * value for index, value in self._items})
+        return QVec._from_sorted(tuple([(index, c * value) for index, value in self._items]))
 
     def __mul__(self, scalar: RationalLike) -> "QVec":
         return self.scale(scalar)

@@ -14,7 +14,10 @@ recursion limit.  Extraction runs at every maximal chain and, earlier, on
 every chain of exactly m points, which is the set a maximal chain through it
 would yield first.  Agreement is checked incrementally: the candidates
 passed down to a chain already agree with t on every tuple y that avoids
-the newest chain point, so only the y through that point are colored.
+the newest chain point, so only the y through that point are colored.  The
+lists of viable points are read on demand, one candidate at a time, so a
+walk that takes the first viable point at each level colors little beyond
+the tuples of the set it returns.
 multi_homogeneous runs the end-agreement search on the first coloring,
 tests every other coloring for constancy on the m + 1 points it found, and
 otherwise falls back to the same lexicographic scan as brute_homogeneous,
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Sequence
 
 FULL_SCAN_POINTS = 24
@@ -180,6 +183,45 @@ def _extract(coloring: TupleColoring, reduced: TupleColoring, m: int, top: int, 
     return result
 
 
+def _extend_level(
+    coloring: TupleColoring,
+    top: int,
+    chain: list[int],
+    levels: list[list[int]],
+    reads: list[int],
+) -> bool:
+    """Append the next viable point for chain[d] to the top level,
+    levels[d]; False when there is none.
+
+    Level k >= 1 reads levels[k - 1] from position reads[k] on and keeps
+    each alpha whose tuples through chain[k - 1] agree with top:
+    f(z + (chain[k - 1], alpha)) == f(z + (chain[k - 1], top)) for the
+    (n-2)-tuples z below chain[k - 1].  When its source has no unread point
+    left, the level below is extended first, so the walk moves down and
+    back up the levels in one loop.  Level 0 is complete, so a dry source
+    there means level d has no further point.
+    """
+    color = coloring.color
+    d = k = len(levels) - 1
+    while k > 0:
+        source = levels[k - 1]
+        if reads[k] == len(source):
+            k -= 1
+            continue
+        alpha = source[reads[k]]
+        reads[k] += 1
+        newest = chain[k - 1]
+        if all(
+            color(z + (newest, alpha)) == color(z + (newest, top))
+            for z in combinations(chain[: k - 1], coloring.arity - 2)
+        ):
+            levels[k].append(alpha)
+            if k == d:
+                return True
+            k += 1
+    return False
+
+
 def greedy_end_homogeneous(
     coloring: TupleColoring, m: int, points: Sequence[int] | None = None, budget: int | None = None
 ):
@@ -201,18 +243,23 @@ def greedy_end_homogeneous(
     that a budget which would run out on the way to that leaf no longer
     stops the search from returning the set.
 
-    Invariant: a chain receives its parent's viable points above its newest
-    point, and each of them already agrees with t on every y that avoids
-    the newest point.  So a chain checks only y = z + (chain[-1],) for the
-    (n-2)-tuples z below it; the viable lists and node counts are those of
-    checking every y afresh.  The y are generated per candidate, not listed
-    per chain: such a list, held on every level of the search, showed as a
-    higher peak RSS.
+    Invariant: the viable points for chain[d] are read from those for
+    chain[d - 1] above chain[d - 1], and each of them already agrees with
+    t on every y that avoids chain[d - 1].  So level d checks only
+    y = z + (chain[d - 1],) for the (n-2)-tuples z below it; the viable
+    lists and node counts are those of checking every y afresh.
+
+    The viable lists are read on demand.  levels[d] holds the viable points
+    for chain[d] found so far, and reads[d] is how far it has read
+    levels[d - 1]; levels[0], the points below t, is complete from the
+    start.  A level is extended by one point only when the walk needs one:
+    to descend, to replace a chain point after backing up, or to find that
+    a chain is maximal (_extend_level).  So the walk colors a subset of the
+    tuples that complete lists would, in another order.
 
     The walk is one loop over an explicit stack: chain[d] was taken from
-    viables[d], and nexts[d] is the index of the next point to try in its
-    place, so a chain's candidates are viables[d][nexts[d]:] and are never
-    copied.  Chain length is not bounded by the interpreter's recursion
+    levels[d], and nexts[d] is the index of the next point to try in its
+    place.  Chain length is not bounded by the interpreter's recursion
     limit.  nodes counts one per chain visited, including the one that
     crosses the budget.
     """
@@ -235,9 +282,9 @@ def greedy_end_homogeneous(
             evaluate=lambda y, t=top: coloring.color(y + (t,)),
         )
         chain: list[int] = []
-        viables: list[list[int]] = []
-        nexts: list[int] = []
-        viable = below  # the empty chain's, unfiltered
+        levels = [below]
+        reads = [0]
+        nexts = [0]
         while True:
             nodes += 1
             if nodes > cap:
@@ -246,31 +293,27 @@ def greedy_end_homogeneous(
                 result = _extract(coloring, reduced, m, top, chain)
                 if result is not None:
                     return result
-            if chain:
-                newest, head = chain[-1], chain[:-1]
-                viable = [
-                    alpha
-                    for alpha in islice(viables[-1], nexts[-1], None)
-                    if all(
-                        coloring.color(z + (newest, alpha)) == coloring.color(z + (newest, top))
-                        for z in combinations(head, n - 2)
-                    )
-                ]
-            if not viable:
+            if not levels[-1] and not _extend_level(coloring, top, chain, levels, reads):
                 result = _extract(coloring, reduced, m, top, chain)
                 if result is not None:
                     return result
-            viables.append(viable)
-            nexts.append(0)
-            # Back up past exhausted lists, then put the next point in place.
-            while viables and nexts[-1] == len(viables[-1]):
-                viables.pop()
+            # Back up past exhausted levels, then put the next point in place.
+            while (
+                levels
+                and nexts[-1] == len(levels[-1])
+                and not _extend_level(coloring, top, chain, levels, reads)
+            ):
+                levels.pop()
+                reads.pop()
                 nexts.pop()
-            if not viables:
+            if not levels:
                 break
-            depth = len(viables) - 1
-            chain[depth:] = [viables[depth][nexts[depth]]]
+            depth = len(levels) - 1
+            chain[depth:] = [levels[depth][nexts[depth]]]
             nexts[depth] += 1
+            levels.append([])
+            reads.append(nexts[depth])
+            nexts.append(0)
     return NoHomogeneousSet(reason="every top candidate exhausted", exhaustive=True, nodes=nodes)
 
 

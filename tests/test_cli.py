@@ -614,6 +614,21 @@ def test_deltasys_check_rejects_junk(tmp_path, capsys):
     assert main(["deltasys", "--check", str(junk)]) == EXIT_USAGE
 
 
+def test_deltasys_check_refuses_a_domain_set_listed_twice(tmp_path, capsys):
+    out = tmp_path / "assignment.json"
+    run_ok(["deltasys", "--E", "0,2,5,6", "--d", "2", "--pad", "0,1,2", "--out", str(out)])
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    payload["W"].append({"u": [0], "support": [0, 99]})
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(payload))
+    assert main(["deltasys", "--check", str(doubled)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "CL3" not in captured.out
+    assert "not a support assignment" in captured.err
+    assert "domain set u = [0] is listed twice" in captured.err
+
+
 def test_deltasys_generation_needs_all_parts(capsys):
     code = main(["deltasys", "--E", "1,2"])
     assert code == EXIT_USAGE

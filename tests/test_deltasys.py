@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +168,26 @@ def test_serialization_round_trip():
     assert {"u": [0], "support": [0, 7]} in payload["W"]
 
 
+def test_payload_listing_a_domain_set_twice_is_refused():
+    payload = small_instance().to_payload()
+    payload["W"].append({"u": [0], "support": [0, 99]})
+    with pytest.raises(ValueError, match=r"domain set u = \[0\] is listed twice"):
+        SupportAssignment.from_payload(payload)
+    payload = small_instance().to_payload()
+    payload["W"].append({"u": [6, 0], "support": [0, 6, 7, 8, 9, 10]})
+    with pytest.raises(ValueError, match=r"domain set u = \[6, 0\] is listed twice"):
+        SupportAssignment.from_payload(payload)
+
+
+def test_payload_domain_set_repeating_an_element_is_refused():
+    payload = small_instance().to_payload()
+    for entry in payload["W"]:
+        if entry["u"] == [0]:
+            entry["u"] = [0, 0]
+    with pytest.raises(ValueError, match=r"domain set u = \[0, 0\] lists an element twice"):
+        SupportAssignment.from_payload(payload)
+
+
 def test_with_support_replaces_one_entry():
     g = small_instance()
     mutated = with_support(g, (0,), (0, 7, 99))
@@ -299,6 +319,7 @@ def test_every_fresh_point_removal_is_caught():
             mutated = with_support(g, u, tuple(q for q in support if q != point))
             mutations += 1
             assert not clean_under_both_laws(mutated), (u, point)
+            assert_same_laws(mutated)
     assert mutations > 20
 
 
@@ -310,6 +331,26 @@ def _key(u):
     return tuple(sorted(u))
 
 
+def reference_check_cl3(assignment):
+    """CL3 decided by rebuilding both supports as sets for every pair.
+
+    check_cl3 builds each support's set once; both must give the same
+    violations, check count and description.
+    """
+    violations = []
+    checks = 0
+    subsets = sorted(assignment.W, key=lambda u: (len(u), sorted(u)))
+    for u, v in combinations_with_replacement(subsets, 2):
+        checks += 1
+        meet = tuple(sorted(set(assignment.W[u]) & set(assignment.W[v])))
+        expected = assignment.W[u & v]
+        if meet != expected:
+            violations.append(
+                f"W({_key(u)}) & W({_key(v)}) = {meet}, but W({_key(u & v)}) = {expected}"
+            )
+    return CheckReport(law="CL3", violations=tuple(violations), checks=checks)
+
+
 def reference_check_cl4(assignment):
     """CL4 decided by building the order isomorphisms of every pair.
 
@@ -317,7 +358,7 @@ def reference_check_cl4(assignment):
     violations, precondition failures and check count.
     """
     preconditions = []
-    cl3 = check_cl3(assignment)
+    cl3 = reference_check_cl3(assignment)
     if not cl3.clean:
         preconditions.append(f"CL3 fails first: {len(cl3.violations)} violations")
     sizes_by_type = {}
@@ -393,11 +434,18 @@ def random_instance(rng):
     return generate_canonical(E, d, pad)
 
 
-def assert_same_cl4(assignment):
-    ours, ref = check_cl4(assignment, check_cl3(assignment)), reference_check_cl4(assignment)
+def assert_same_laws(assignment):
+    """Both laws against their references: the same violations, precondition
+    failures, check counts and descriptions.  Returns the CL4 report."""
+    cl3, ref3 = check_cl3(assignment), reference_check_cl3(assignment)
+    assert cl3.violations == ref3.violations
+    assert cl3.checks == ref3.checks
+    assert cl3.describe() == ref3.describe()
+    ours, ref = check_cl4(assignment, cl3), reference_check_cl4(assignment)
     assert ours.violations == ref.violations
     assert ours.precondition_failures == ref.precondition_failures
     assert ours.checks == ref.checks
+    assert ours.describe() == ref.describe()
     return ours
 
 
@@ -414,7 +462,7 @@ def test_rank_signatures_match_order_isos_on_swapped_instances():
         a, b = rng.sample(rng.choice(pools), 2)
         mutated = swapped(g, a, b)
         assert check_cl3(mutated).clean
-        report = assert_same_cl4(mutated)
+        report = assert_same_laws(mutated)
         assert report.precondition_failures == ()
         dirty += bool(report.violations)
     assert dirty >= 15
@@ -438,7 +486,7 @@ def test_rank_signatures_match_order_isos_on_support_mutations():
             keep = [p for p in support if p in u]
             trade = rng.sample(extra, len(support) - len(keep))
             mutated = with_support(g, u, tuple(keep + trade))
-        tripped += bool(assert_same_cl4(mutated).precondition_failures)
+        tripped += bool(assert_same_laws(mutated).precondition_failures)
     assert tripped >= 50
 
 
@@ -452,7 +500,13 @@ def test_rank_signatures_match_order_isos_on_the_hand_built_cases():
         small_instance(),
         with_support(small_instance(), (0,), (0,)),
     ):
-        assert_same_cl4(assignment)
+        assert_same_laws(assignment)
+
+
+def test_both_laws_match_the_references_on_the_benchmark_instance():
+    g = generate_canonical(range(8), 3, (1, 1, 1, 1))
+    assert assert_same_laws(g).describe() == "CL4: clean (32338 checks)"
+    assert check_cl3(g).describe() == "CL3: clean (4371 checks)"
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,61 @@ def test_scale_distributes_over_add(c, u, v):
     assert (u + v).scale(c) == u.scale(c) + v.scale(c)
 
 
+def reference_add(u, v):
+    """u + v built through the validating constructor, one dict entry per
+    index; + must give the same vector."""
+    merged = dict(u.items())
+    for index, value in v.items():
+        new = merged.get(index, Fraction(0)) + value
+        if new == 0:
+            merged.pop(index, None)
+        else:
+            merged[index] = new
+    return QVec(merged)
+
+
+def reference_scale(v, scalar):
+    c = Fraction(scalar)
+    if c == 0:
+        return QVec()
+    return QVec({index: c * value for index, value in v.items()})
+
+
+def assert_same_vector(ours, ref):
+    assert ours.items() == ref.items()
+    assert ours == ref and hash(ours) == hash(ref)
+    positions = [index for index, _ in ours.items()]
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    assert all(type(value) is Fraction and value != 0 for _, value in ours.items())
+
+
+small_qvecs = st.dictionaries(st.integers(0, 7), rationals, max_size=6).map(QVec)
+scalars = st.one_of(
+    rationals,
+    st.integers(-6, 6),
+    rationals.map(str),
+    st.sampled_from([0, Fraction(0), "0", "-0/5"]),
+)
+
+
+@given(small_qvecs, small_qvecs, st.sets(st.integers(0, 7)))
+def test_add_matches_the_dict_built_sum(u, v, cancelled):
+    # v with some of u's coordinates replaced by their negatives, so that
+    # some sums cancel there, and some cancel everywhere.
+    w = QVec(
+        {**dict(v.items()), **{i: -value for i, value in u.items() if i in cancelled}}
+    )
+    for a, b in ((u, v), (u, w), (w, u), (u, u.scale(-1)), (u, QVec()), (QVec(), v)):
+        assert_same_vector(a + b, reference_add(a, b))
+    assert u + u.scale(-1) == QVec() and (u + u.scale(-1)).items() == ()
+
+
+@given(small_qvecs, scalars)
+def test_scale_matches_the_dict_built_product(v, scalar):
+    assert_same_vector(v.scale(scalar), reference_scale(v, scalar))
+    assert_same_vector(scalar * v, reference_scale(v, scalar))
+
+
 def test_zero_values_are_dropped_at_construction():
     assert QVec({4: 0, 7: 1}).support == (7,)
     assert len(QVec({4: Fraction(0, 5)})) == 0

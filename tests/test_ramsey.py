@@ -165,24 +165,37 @@ def test_greedy_chain_length_is_not_bounded_by_the_recursion_limit():
 
 def test_greedy_stops_once_the_first_m_chain_points_are_constant():
     # Extracting only at the maximal chain (all 39 points below the top)
-    # colors 90,687 tuples here; extracting at 12 chain points, 5,170.
+    # colors 90,687 tuples here; extracting at 12 chain points with every
+    # viable list complete, 5,170.  Read on demand, the viable lists color
+    # only the tuples of the 13 points returned: C(13, 4) = 715.
     evaluated = set()
     f = TupleColoring(4, 2, 40, lambda t: evaluated.add(t) or 0)
     found = greedy_end_homogeneous(f, 12)
     assert found.members == tuple(range(12)) and found.top == 39
-    assert len(evaluated) <= 6_000
+    assert len(evaluated) == 715
+
+
+def test_greedy_colors_only_the_tuples_of_the_set_it_returns():
+    # With complete viable lists the chain nodes colored 328,570 tuples
+    # here, nearly all of them against the 1,987 points no chain reads.
+    evaluated = set()
+    f = TupleColoring(4, 2, 2000, lambda t: evaluated.add(t) or 0)
+    found = greedy_end_homogeneous(f, 12)
+    assert found == HomogeneousSet(members=tuple(range(12)), top=1999, colors=(0,))
+    assert evaluated == set(combinations((*range(12), 1999), 4))
 
 
 def test_multi_floor_sum_colors_fewer_tuples():
     # Extracting only at maximal chains colors 14,574 distinct tuples over
-    # the three levels; extracting at m chain points, 7,073.
+    # the three levels; extracting at m chain points, 7,073, and reading
+    # the viable lists on demand, 5,016.
     evaluated = set()
     fs = derived_tuple_colorings(FloorSumOracle(2), 140)
     for f in fs:
         f.evaluate = lambda t, inner=f.evaluate: evaluated.add(t) or inner(t)
     found = multi_homogeneous(fs, 18)
     assert found == HomogeneousSet(members=tuple(range(18)), top=139, colors=(0, 0, 0))
-    assert len(evaluated) <= 8_000
+    assert len(evaluated) == 5_016
 
 
 def test_greedy_parity_coloring_set_is_fully_constant():
