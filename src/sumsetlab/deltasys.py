@@ -99,7 +99,15 @@ class SupportAssignment:
             raise ValueError(f"E must be strictly increasing, got {self.E}")
         if self.d < 0:
             raise ValueError("dimension must be nonnegative")
-        table = {_as_subset(u): tuple(sorted(support)) for u, support in self.W.items()}
+        # Refused rather than letting one entry silently stand for another.
+        table = {}
+        for u, support in self.W.items():
+            subset = _as_subset(u)
+            if len(subset) != len(u):
+                raise ValueError(f"domain set u = {list(u)} lists an element twice")
+            if subset in table:
+                raise ValueError(f"domain set u = {list(u)} is listed twice")
+            table[subset] = tuple(sorted(support))
         expected = set(self.domain_subsets(self.E, self.d))
         if set(table) != expected:
             missing = sorted(map(_sorted_subset, expected - set(table)))
@@ -135,16 +143,13 @@ class SupportAssignment:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SupportAssignment":
-        """The assignment a to_payload dict describes.  A domain set listed
-        twice, or listing one of its elements twice, is refused rather than
-        letting one entry silently stand for another."""
+        """The assignment a to_payload dict describes.  Two entries that list
+        one domain set alike are refused here, other repeats by the constructor."""
         table = {}
         for entry in payload["W"]:
-            u = frozenset(entry["u"])
-            if len(u) != len(entry["u"]):
-                raise ValueError(f"domain set u = {list(entry['u'])} lists an element twice")
+            u = tuple(entry["u"])
             if u in table:
-                raise ValueError(f"domain set u = {list(entry['u'])} is listed twice")
+                raise ValueError(f"domain set u = {list(u)} is listed twice")
             table[u] = tuple(entry["support"])
         return cls(E=tuple(payload["E"]), d=int(payload["d"]), W=table)
 

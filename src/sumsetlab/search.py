@@ -32,10 +32,13 @@ ESCAPABLE (a verified bad coloring exists), FORCED (the search space was
 exhausted: every coloring admits a monochromatic sumset), or UNDECIDED
 (budget ran out).  X ranges over {1..min(x_max, floor(M/2))} at each M.
 The coloring space is always split into the same fixed prefix tasks
-whatever the worker count, each task gets the full budget (a task resumed
-from a checkpoint gets what its earlier run left of it), and the first
-witness in task order wins, so results are reproducible bit for bit under
-any parallelism, and with or without kills and resumes.
+whatever the worker count, and each task gets the full budget (a task
+resumed from a checkpoint gets what its earlier run left of it).  The
+first task in task order that does not finish exhausted decides the row:
+its witness makes it ESCAPABLE, its budget cutoff UNDECIDED, and the tasks
+after it do not count.  So every witness is the least bad coloring, and
+results are reproducible bit for bit under any parallelism and budget,
+and with or without kills and resumes.
 
 Each M starts at w(M-1), the least bad coloring of {1..M-1}, when the
 previous row found it.  The X range never shrinks as M grows, so w(M) cut
@@ -44,9 +47,7 @@ prefix sorts below w(M-1) are logged as finished without a witness and
 not run, and the task that w(M-1) starts with resumes from it.  Witnesses
 and unbudgeted verdicts are those of a scan that searches every task from
 its start; node counts are diagnostics and shrink, and a budgeted row can
-be decided where that scan would leave it UNDECIDED.  Under a budget a
-witness found after an earlier task was cut off may not be the least, so
-it starts no chain.
+be decided where that scan would leave it UNDECIDED.
 
 FORCED verdicts are monotone in M; the scan asserts this and aborts loudly
 on a violation, since one would mean the X-range convention was broken
@@ -316,26 +317,22 @@ def find_bad_coloring(
 
 @dataclass(frozen=True)
 class ThresholdRecord:
+    """One row of a scan; a witness is the least bad coloring of {1..M}."""
+
     k: int
     r: int
     M: int
     verdict: str
     witness: NatColoring | None
-    # Every schedule counts the tasks up to the first witness, but a resumed
+    # Every schedule counts the tasks up to the deciding one, but a resumed
     # run skips the tasks its checkpoint marks finished, so they are diagnostics only.
     nodes: int = field(compare=False)
-    # The witness is the lexicographically least bad coloring: every task
-    # before its own finished without one, none cut off by the budget.  Only
-    # such a witness may start the search of the next M.
-    least: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.verdict not in (FORCED, ESCAPABLE, UNDECIDED):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if (self.verdict == ESCAPABLE) != (self.witness is not None):
             raise ValueError("exactly the ESCAPABLE records carry a witness")
-        if self.least and self.witness is None:
-            raise ValueError("only a witness can be the least one")
 
 
 def _task_prefixes(r: int, M: int) -> list[tuple[int, ...]]:
@@ -455,17 +452,19 @@ def _scan_one(
     at or above start: the tasks whose prefix sorts below start are logged
     as finished without a witness and not run, and the task that start
     begins with resumes from start.  Without a budget only the node count,
-    a diagnostic, depends on start.  A witness is marked least when every
-    task before its own finished without one.  With a checkpoint, the tasks
-    its log marks finished are not run again, the others resume from their
-    logged prefix (or from start, when that is larger) with what is left of
-    their budget, and every DFS checkpoint of a task is logged and written."""
+    a diagnostic, depends on start.  The first task that does not finish
+    exhausted decides the row, by its witness or its budget cutoff, and the
+    tasks after it are not run (or, when running, are killed); with every
+    task exhausted the row is FORCED.  With a checkpoint, the tasks its log
+    marks finished are not run again, the others resume from their logged
+    prefix (or from start, when that is larger) with what is left of their
+    budget, and every DFS checkpoint of a task is logged and written."""
     prefixes = _task_prefixes(r, M)
     log = [None] * len(prefixes) if checkpoint is None else checkpoint.log_for(M, len(prefixes))
     for i, prefix in enumerate(prefixes):
         if prefix < start[: len(prefix)]:
             log[i] = True
-    pending = [i for i, entry in enumerate(log) if not isinstance(entry, bool)]
+    pending = [i for i, entry in enumerate(log) if entry is not True]
     # A task resumed from a prefix P logged after s nodes re-walks P in
     # len(P) nodes and then retraces the earlier run, which had spent
     # s - len(P) nodes on the branches it skips.
@@ -491,24 +490,17 @@ def _scan_one(
     else:
         hooks = [None if progress is None else partial(progress, n) for n in range(len(tasks))]
         schedule = nullcontext(map(_run_task, tasks, hooks))
-    witness = None
     nodes = 0
     with schedule as results:
         for n, result in enumerate(results):
             nodes += spent[n] + result.nodes
-            if result.found:
-                witness = result.coloring
-                least = all(log[: pending[n]])
-                break
-            log[pending[n]] = result.exhausted
-    if witness is not None:
-        return ThresholdRecord(
-            k=k, r=r, M=M, verdict=ESCAPABLE, witness=witness, nodes=nodes, least=least
-        )
-    # Every task finished without a witness, so each entry is its exhausted flag.
-    if all(log):
-        return ThresholdRecord(k=k, r=r, M=M, verdict=FORCED, witness=None, nodes=nodes)
-    return ThresholdRecord(k=k, r=r, M=M, verdict=UNDECIDED, witness=None, nodes=nodes)
+            if not result.exhausted:
+                verdict = ESCAPABLE if result.found else UNDECIDED
+                return ThresholdRecord(
+                    k=k, r=r, M=M, verdict=verdict, witness=result.coloring, nodes=nodes
+                )
+            log[pending[n]] = True
+    return ThresholdRecord(k=k, r=r, M=M, verdict=FORCED, witness=None, nodes=nodes)
 
 
 def threshold_scan(
@@ -523,20 +515,22 @@ def threshold_scan(
 ) -> list[ThresholdRecord]:
     """Classify every M <= M_max as FORCED, ESCAPABLE, or UNDECIDED.
 
-    Each M starts at the previous row's witness when that row marks it the
-    least one (found by this run or read from the checkpoint), and the
-    tasks it skips are logged as finished (see _scan_one); the records'
-    node counts are diagnostics.  Every fresh witness has passed
-    find_bad_coloring's exhaustive leaf re-check, and every witness read
-    back from a checkpoint is re-checked the same way on load; resume
-    trusts a stored FORCED row, and a stored witness marked least, whose
-    colors must be in first-use order, to be the least one.  A FORCED verdict followed by an ESCAPABLE one at
-    larger M aborts the run: with ValueError naming the row when the FORCED
-    row was read from the checkpoint, with RuntimeError when this run found
-    both.  A checkpoint whose stored rows skip an M or already break that
-    order is refused.  With a checkpoint path the scan persists completed
-    records plus a per-task log of the M in flight, under any worker
-    count, and resumes from them.
+    Each row is decided by its first task that does not finish exhausted,
+    so every witness is the least one.  Each M starts at the previous
+    row's witness, when it has one (found by this run or read from the
+    checkpoint), and the tasks it skips are logged as finished (see
+    _scan_one); the records' node counts are diagnostics.  Every fresh
+    witness has passed find_bad_coloring's exhaustive leaf re-check, and
+    every witness read back from a checkpoint is re-checked the same way on
+    load; resume trusts a stored FORCED row, and a stored witness, whose
+    colors must be in first-use order, to be the least one.  A FORCED
+    verdict followed by an ESCAPABLE one at larger M aborts the run: with
+    ValueError naming the row when the FORCED row was read from the
+    checkpoint, with RuntimeError when this run found both.  A checkpoint
+    whose stored rows skip an M or already break that order is refused.
+    With a checkpoint path the scan persists completed records plus a
+    per-task log of the M in flight, under any worker count, and resumes
+    from them.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -553,7 +547,7 @@ def threshold_scan(
     stored = len(records)
     forced_at = next((record.M for record in records if record.verdict == FORCED), None)
     for M in range(stored + 1, M_max + 1):
-        start = records[-1].witness.colors if records and records[-1].least else ()
+        start = records[-1].witness.colors if records and records[-1].witness else ()
         record = _scan_one(k, r, M, budget, x_max, workers, checkpoint, checkpoint_interval, start)
         if record.verdict == ESCAPABLE and forced_at is not None:
             # A stored row is outside input: the file is at fault, not the search.
@@ -590,9 +584,9 @@ class _ScanCheckpoint:
     """Persistence for threshold_scan: the completed records and, for the
     M in flight, a log with one entry per task of _task_prefixes: null (not
     started), {"prefix": the task's last DFS prefix, "nodes": the nodes it
-    had spent there} (running), or its exhausted flag (finished without a
-    witness).  The entries are independent, so any number of tasks may be
-    running."""
+    had spent there} (running), or true (finished exhausted).  A task that
+    finishes otherwise decides its row, so it is never logged.  The entries
+    are independent, so any number of tasks may be running."""
 
     def __init__(self, path, k, r, budget, x_max):
         self.path = Path(path)
@@ -612,13 +606,13 @@ class _ScanCheckpoint:
         """Read the records and the log, or raise ValueError.  The records
         must be the rows M = 1, 2, ... in order, no ESCAPABLE row may follow
         a FORCED one, a stored witness must color exactly 1..M and admit no
-        monochromatic X + X, and only a witness may be marked least.  The
-        least bad coloring has its colors in first-use order (0 first, each
-        new color the least unused one), so a least witness without that
-        form is refused; one with it is trusted to be the least.  The log
-        must be for the M after the last row, a logged prefix must agree with
-        its task, and its node count must cover the prefix and stay within
-        the budget."""
+        monochromatic X + X, and a row must be marked least exactly when it
+        has a witness.  The least bad coloring has its colors in first-use
+        order (0 first, each new color the least unused one), so a witness
+        without that form is refused; one with it is trusted to be the
+        least.  The log must be for the M after the last row, a logged prefix
+        must agree with its task, and its node count must cover the prefix
+        and stay within the budget."""
         if loaded["config"] != self.config:
             raise ValueError(f"it was written for config {loaded['config']}")
         k, r, x_max = self.config["k"], self.config["r"], self.config["x_max"]
@@ -638,23 +632,21 @@ class _ScanCheckpoint:
                 X = has_mono_sumset(witness, k, x_max=_row_x_max(M, x_max))
                 if X is not None:
                     raise ValueError(f"the M={M} witness makes X={X} monochromatic")
-            # Rows stored before the flag existed start no chain.
+            # Earlier writers stored a witness that might not be least without least=true.
             least = row.get("least", False)
-            if type(least) is not bool:
-                raise ValueError(f"row {M} has least={least!r}")
-            if least and witness is not None and not _in_first_use_order(witness.colors):
+            if least is not (witness is not None):
+                raise ValueError(
+                    f"row {M} has least={least!r} {'with' if witness else 'without'} a witness, "
+                    "but exactly the witness rows are marked least; truncate records to the "
+                    f"{M - 1} rows below it"
+                )
+            if witness is not None and not _in_first_use_order(witness.colors):
                 raise ValueError(
                     f"the M={M} witness is marked least but its colors are not in first-use order"
                 )
             self.records.append(
                 ThresholdRecord(
-                    k=k,
-                    r=r,
-                    M=M,
-                    verdict=row["verdict"],
-                    witness=witness,
-                    nodes=row["nodes"],
-                    least=least,
+                    k=k, r=r, M=M, verdict=row["verdict"], witness=witness, nodes=row["nodes"]
                 )
             )
         in_flight = loaded["in_flight"]
@@ -683,7 +675,7 @@ class _ScanCheckpoint:
                     and len(prefix) <= entry["nodes"]
                     and (budget is None or entry["nodes"] <= budget)
                 )
-                if not (entry is None or isinstance(entry, bool) or running):
+                if not (entry is None or entry is True or running):
                     raise ValueError(f"the M={M} log has {entry!r} for task {list(task)}")
         self.state = loaded
 
@@ -701,7 +693,7 @@ class _ScanCheckpoint:
                 "verdict": record.verdict,
                 "witness": list(record.witness.colors) if record.witness else None,
                 "nodes": record.nodes,
-                "least": record.least,
+                "least": record.witness is not None,
             }
             for record in records
         ]

@@ -188,6 +188,19 @@ def test_payload_domain_set_repeating_an_element_is_refused():
         SupportAssignment.from_payload(payload)
 
 
+def test_assignment_refuses_keys_that_name_one_set_twice():
+    # (0,), frozenset({0}) and (0, 0) all name {0}; the last one used to win.
+    with pytest.raises(ValueError, match=r"domain set u = \[0\] is listed twice"):
+        SupportAssignment(
+            E=(0,), d=1, W={(): (), (0,): (0,), frozenset({0}): (0, 5), (0, 0): (0, 9)}
+        )
+    with pytest.raises(ValueError, match=r"domain set u = \[0, 0\] lists an element twice"):
+        SupportAssignment(E=(0,), d=1, W={(): (), (0, 0): (0, 9)})
+    # keys in another order name the same set once each
+    g = SupportAssignment(E=(0, 1), d=2, W={(): (), (0,): (0,), (1,): (1,), (1, 0): (0, 1)})
+    assert g.W[frozenset({0, 1})] == (0, 1)
+
+
 def test_with_support_replaces_one_entry():
     g = small_instance()
     mutated = with_support(g, (0,), (0, 7, 99))

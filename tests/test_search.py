@@ -72,8 +72,8 @@ def reference_mono_sumset(coloring, k, x_max=None):
 def unchained_scan(k, r, M_max, budget=None, x_max=None):
     """(verdict, witness, nodes) for M = 1..M_max, searching every task of
     _task_prefixes from its own start, with no chain from the row below:
-    the first witness in task order wins, and a cut-off task makes a row
-    without one UNDECIDED."""
+    the first task in task order that does not finish exhausted decides the
+    row, ESCAPABLE by its witness or UNDECIDED by its budget cutoff."""
     rows = []
     for M in range(1, M_max + 1):
         x_limit = None if x_max is None else min(x_max, M // 2)
@@ -81,11 +81,10 @@ def unchained_scan(k, r, M_max, budget=None, x_max=None):
         for prefix in _task_prefixes(r, M):
             result = find_bad_coloring(k, r, M, budget=budget, x_max=x_limit, forced_prefix=prefix)
             nodes += result.nodes
-            if result.found:
-                verdict, witness = ESCAPABLE, result.coloring
-                break
             if not result.exhausted:
-                verdict = UNDECIDED
+                verdict = ESCAPABLE if result.found else UNDECIDED
+                witness = result.coloring
+                break
         rows.append((verdict, witness, nodes))
     return rows
 
@@ -317,8 +316,6 @@ def test_threshold_record_validation():
         ThresholdRecord(
             k=2, r=2, M=3, verdict=FORCED, witness=NatColoring(2, (0, 0, 0)), nodes=0
         )
-    with pytest.raises(ValueError, match="only a witness can be the least one"):
-        ThresholdRecord(k=2, r=2, M=3, verdict=UNDECIDED, witness=None, nodes=0, least=True)
 
 
 def test_threshold_record_equality_ignores_node_counts():
@@ -429,7 +426,6 @@ def test_chain_start_matches_a_scan_of_every_task(k, r, M_max, x_max, workers):
     reference = unchained_scan(k, r, M_max, x_max=x_max)
     assert [(rec.verdict, rec.witness) for rec in records] == [row[:2] for row in reference]
     assert all(rec.nodes <= row[2] for rec, row in zip(records, reference))
-    assert all(rec.least for rec in records if rec.verdict == ESCAPABLE)
 
 
 def test_chain_start_cuts_the_nodes_of_the_pair_sumsets_in_three_colors():
@@ -439,29 +435,43 @@ def test_chain_start_cuts_the_nodes_of_the_pair_sumsets_in_three_colors():
     assert sum(rec.nodes for rec in records) * 4 < sum(row[2] for row in reference)
 
 
-@pytest.mark.parametrize("k, r, M_max, budget", [(2, 2, 20, 17), (3, 2, 34, 33), (2, 3, 30, 20)])
+@pytest.mark.parametrize(
+    "k, r, M_max, budget",
+    [
+        (2, 2, 20, 17),
+        (3, 2, 34, 33),
+        (2, 3, 30, 20),
+        (3, 2, 40, 50),
+        (2, 3, 40, 40),
+        (2, 2, 16, 5),
+    ],
+)
 def test_chain_start_under_a_budget_decides_every_row_the_reference_decides(k, r, M_max, budget):
-    records = threshold_scan(k, r, M_max, budget=budget)
     reference = unchained_scan(k, r, M_max, budget=budget)
     unbudgeted = threshold_scan(k, r, M_max)
-    for rec, (verdict, _, nodes), full in zip(records, reference, unbudgeted):
-        assert rec.nodes <= nodes
-        if verdict != UNDECIDED:
-            assert rec.verdict == verdict
-        if rec.least:
-            assert rec.witness == full.witness
-        if rec.witness is not None:
-            assert reference_mono_sumset(rec.witness, k) is None
-    gained = [rec.M for rec, row in zip(records, reference) if row[0] == UNDECIDED != rec.verdict]
-    # Without the chain, the (2, 2) budget of 17 leaves M = 13 UNDECIDED.
-    assert gained == ([13] if (k, r) == (2, 2) else [])
-    if (k, r) == (3, 2):
-        # Tasks (0, 0, 0) and (0, 0, 1) are cut off at M = 30, so the witness
-        # found after them need not be the least, and M = 31 must search
-        # every task again.
-        not_least = [rec.M for rec in records if rec.witness is not None and not rec.least]
-        assert not_least == [30, 31, 32]
-        assert records[30].nodes == reference[30][2]
+    for workers in (1, 2):
+        records = threshold_scan(k, r, M_max, budget=budget, workers=workers)
+        for rec, (verdict, _, nodes), full in zip(records, reference, unbudgeted):
+            assert rec.nodes <= nodes
+            if verdict != UNDECIDED:
+                assert rec.verdict == verdict
+            # Every witness is the least one, so a budget never changes it.
+            if rec.witness is not None:
+                assert rec.witness == full.witness
+        # the rows decided here that the reference leaves UNDECIDED
+        gained = [rec.M for rec, row in zip(records, reference) if rec.verdict != row[0]]
+        if (k, r, budget) == (2, 2, 17):
+            # Without the chain, the budget of 17 leaves M = 13 UNDECIDED.
+            assert gained == [13]
+            assert records[12].verdict == ESCAPABLE
+        else:
+            assert gained == []
+        if (k, r, budget) == (3, 2, 33):
+            # Task (0, 0, 0) is cut off from M = 30 on, so these rows are
+            # UNDECIDED although task (0, 1, 0) holds a bad coloring, and
+            # M = 31 searches every task from its start.
+            assert [rec.M for rec in records if rec.verdict == UNDECIDED] == [30, 31, 32, 33, 34]
+            assert records[30].nodes == reference[30][2]
 
 
 def test_threshold_scan_worker_count_is_invisible():
@@ -593,13 +603,38 @@ def test_resume_starts_at_a_stored_witness_marked_least(tmp_path):
     resumed = threshold_scan(2, 3, 40, checkpoint_path=path)
     assert resumed == full
     assert resumed[-1].nodes == full[-1].nodes
-    # A row stored before the flag existed starts no chain.
-    for row in state["records"]:
-        del row["least"]
-    path.write_text(json.dumps(state))
-    resumed = threshold_scan(2, 3, 40, checkpoint_path=path)
-    assert resumed == full
-    assert resumed[-1].nodes == reference[-1][2]
+
+
+def test_an_unbudgeted_checkpoint_of_an_earlier_writer_resumes(tmp_path):
+    # Written when a budgeted witness could still be marked least=false: a
+    # crash inside M = 12 of the (2, 2) scan, checkpointing every 5 nodes.
+    # Without a budget every witness was the least one, so the file loads,
+    # resumes to the same table, and is then written as a run without the
+    # crash writes it, but for the node count of M = 12: a resumed row does
+    # not count the tasks its log marks finished.
+    colors = [0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0]
+    records = [
+        {"M": M, "least": True, "nodes": M, "verdict": ESCAPABLE, "witness": colors[:M]}
+        for M in range(1, 12)
+    ]
+    running = {"nodes": 10, "prefix": [0, 0, 1, 0, 1]}
+    state = {
+        "config": {"budget": None, "k": 2, "r": 2, "x_max": None},
+        "in_flight": {"M": 12, "log": [True, running, None, None]},
+        "records": records,
+    }
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+    resumed = threshold_scan(2, 2, 14, checkpoint_path=path, checkpoint_interval=5)
+    fresh = tmp_path / "fresh.json"
+    assert resumed == threshold_scan(2, 2, 14, checkpoint_path=fresh, checkpoint_interval=5)
+    assert [rec.witness for rec in resumed[:11]] == [
+        NatColoring(2, tuple(colors[:M])) for M in range(1, 12)
+    ]
+    written, expected = json.loads(path.read_text()), json.loads(fresh.read_text())
+    assert (written["records"][11]["nodes"], expected["records"][11]["nodes"]) == (17, 32)
+    written["records"][11]["nodes"] = 32
+    assert written == expected
 
 
 def test_resume_takes_the_larger_of_a_logged_prefix_and_the_chain_start(tmp_path):
@@ -617,22 +652,26 @@ def test_resume_takes_the_larger_of_a_logged_prefix_and_the_chain_start(tmp_path
 
 
 def test_checkpoint_rejects_a_bad_least_flag(tmp_path):
+    # A witness row must say least=true: rows that earlier writers stored
+    # with least=false, or with no key at all, may hold a witness that is
+    # not the least one, and they are refused by name.
     path = tmp_path / "scan.json"
     threshold_scan(2, 2, 14, checkpoint_path=path)
     state = json.loads(path.read_text())
-    for value, message in (
-        (1, "row 13 has least=1"),
-        ("true", "row 13 has least='true'"),
-        (None, "row 13 has least=None"),
-    ):
-        state["records"][12]["least"] = value
-        path.write_text(json.dumps(state))
-        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {message}")):
+    advice = "but exactly the witness rows are marked least; truncate records to the"
+    for value in (False, 1, "true", None, "missing"):
+        row = dict(state["records"][12], least=value)
+        if value == "missing":
+            del row["least"]
+        records = state["records"][:12] + [row] + state["records"][13:]
+        path.write_text(json.dumps(dict(state, records=records)))
+        shown = False if value == "missing" else value
+        message = f"checkpoint {path}: row 13 has least={shown!r} with a witness, {advice} 12"
+        with pytest.raises(ValueError, match=re.escape(message)):
             threshold_scan(2, 2, 14, checkpoint_path=path)
-    state["records"][12]["least"] = True
     state["records"][13]["least"] = True  # the FORCED row
     path.write_text(json.dumps(state))
-    message = f"checkpoint {path}: only a witness can be the least one"
+    message = f"checkpoint {path}: row 14 has least=True without a witness, {advice} 13"
     with pytest.raises(ValueError, match=re.escape(message)):
         threshold_scan(2, 2, 14, checkpoint_path=path)
 
@@ -655,11 +694,12 @@ def test_checkpoint_rejects_a_least_witness_out_of_first_use_order(tmp_path):
     )
     with pytest.raises(ValueError, match=re.escape(message)):
         threshold_scan(2, 2, 13, checkpoint_path=path)
-    # Not marked least, the same witness starts no chain.
+    # Not marked least, the same witness is refused all the same.
     row["least"] = False
     path.write_text(json.dumps(state))
-    resumed = threshold_scan(2, 2, 13, checkpoint_path=path)
-    assert (resumed[-1].verdict, resumed[-1].witness.colors) == (ESCAPABLE, WITNESS_M13)
+    message = f"checkpoint {path}: row 12 has least=False with a witness"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold_scan(2, 2, 13, checkpoint_path=path)
 
 
 def test_checkpoint_rejects_a_missing_row(tmp_path):
@@ -808,9 +848,11 @@ def test_checkpoint_rejects_a_log_the_writer_never_stores(tmp_path, monkeypatch)
             f"the M=12 log has {running([0, 0, 1, 2])!r} for task [0, 0, 1]",
         ),
         bad(running(too_long, 13)),
-        # a wrong entry type
+        # a wrong entry type; a task that is not exhausted decides its row,
+        # so false, which logs once stored for a budget cutoff, is one too
         bad("0,0,1"),
         bad(1),
+        bad(False),
         bad(running([0, 0, True])),
         bad(running("0,0,1")),
         # a node count that is missing, of another type, or below the prefix
