@@ -75,7 +75,7 @@ def relabel(v: QVec, h: OrderIso) -> QVec:
     missing = [i for i in v.support if i not in h.source]
     if missing:
         raise ValueError(f"support escapes the source at {missing}")
-    return QVec({h(i): value for i, value in v.items()})
+    return QVec({h(i): value for i, value in zip(v.support, v.values_in_order())})
 
 
 def _as_subset(u: Iterable[int]) -> frozenset[int]:

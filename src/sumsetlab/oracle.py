@@ -11,13 +11,18 @@ invariance under order isomorphisms of the coordinate indices.
 
 A color is a pure function of the vector, and no oracle keeps anything
 between calls.  The pipelines color index tuples, not vectors, and
-TupleColoring caches by index tuple.  derived is the single place where a
-level tuple becomes a vector.  A kind whose color depends only on the
-values read in increasing support order declares order_invariant (the
-structural kinds, constant and the wrapper).  Every strictly increasing
-level-l tuple of naturals then has one color, and the code that colors
-level tuples in bulk (pipeline2's derived colorings, pipeline_r's level
-check) colors one such tuple per level and reuses its color.
+TupleColoring caches by index tuple.  derived turns a level tuple into a
+vector through star, with all of star's checks.  It colors the tuples of
+pipeline2, ramsey and verify, and those of a pipeline_r system whose
+coordinates are not strictly increasing naturals.  On a system whose
+coordinates are, pipeline_r's level colorer places the pattern on a
+tuple's entries directly, since they rise strictly by construction.  A
+kind whose color depends only on the values read in increasing support
+order declares order_invariant (the structural kinds, constant and the
+wrapper).  Every strictly increasing level-l tuple of naturals then has
+one color, and the code that colors level tuples in bulk (pipeline2's
+derived colorings, pipeline_r's level check) colors one such tuple per
+level and reuses its color.
 
 verify_witness colors every pairwise sum of a witness set X (doubles
 included) and certifies one color or names two sums that disagree.
@@ -100,7 +105,7 @@ class FourCountOracle(ColoringOracle):
         super().__init__(r, "four-count")
 
     def _color_impl(self, v: QVec) -> int:
-        return sum(1 for _, value in v.items() if value == 4) % self.r
+        return sum(1 for value in v.values_in_order() if value == 4) % self.r
 
 
 class FloorSumOracle(ColoringOracle):
@@ -110,12 +115,12 @@ class FloorSumOracle(ColoringOracle):
         super().__init__(r, "floor-sum")
 
     def _color_impl(self, v: QVec) -> int:
-        items = v.items()
+        values = v.values_in_order()
         # Level-pattern values are integers: sum their numerators and skip
         # Fraction addition.  Any other vector takes the exact path.
-        if all(value.denominator == 1 for _, value in items):
-            return sum(value.numerator for _, value in items) % self.r
-        total = sum((value for _, value in items), start=0)
+        if all(value.denominator == 1 for value in values):
+            return sum(value.numerator for value in values) % self.r
+        total = sum(values, start=0)
         return math.floor(total) % self.r
 
 
@@ -192,7 +197,8 @@ class OrderInvariantOracle(ColoringOracle):
 
     def _color_impl(self, v: QVec) -> int:
         # v's values are nonzero Fractions, placed here on 0..k-1 in order.
-        return self.inner.color(QVec._from_sorted(tuple(enumerate(v.values_in_order()))))
+        values = v.values_in_order()
+        return self.inner.color(QVec._from_sorted(tuple(range(len(values))), values))
 
     def descriptor(self) -> str:
         return f"order-invariant-wrapper:{self.inner.descriptor()}"

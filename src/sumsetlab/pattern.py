@@ -5,11 +5,12 @@ string s_l has length r + l and consists of 2l twos followed by r - l fours.
 Placing a string on an increasing set of coordinate indices (the star
 operation) produces a QVec, and these vectors are exactly the shapes taken
 by doubles and pairwise sums of the witness vectors built downstream.
-Every level tuple the pipelines color becomes a vector through star, so
-star is kept cheap: make_string returns one cached PatternString per
+Every level tuple colored through oracle.derived becomes a vector through
+star, so star is kept cheap: make_string returns one cached PatternString per
 (r, l), and (r, l) and the values are checked once, when it is built;
 star checks only the indices of a pattern before building through QVec's
-trusted constructor.  Level tuples arrive with strictly increasing
+trusted constructor, which keeps its index tuple and the pattern's shared
+value tuple as they are.  Level tuples arrive with strictly increasing
 indices, so star first tries a single pass that accepts exactly such
 input; anything else goes through the full distinctness, length and
 naturality checks.
@@ -160,7 +161,7 @@ def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable
     vals = values.rationals if trusted else tuple(values)
     idx = tuple(indices)
     if trusted and is_increasing_naturals(idx, len(vals)):
-        return QVec._from_sorted(tuple(zip(idx, vals)))
+        return QVec._from_sorted(idx, vals)
     if len(idx) != len(set(idx)):
         raise ValueError(f"indices must be pairwise distinct, got {idx!r}")
     if len(vals) != len(idx):
@@ -172,7 +173,7 @@ def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable
     for index in idx:
         if not isinstance(index, int) or isinstance(index, bool) or index < 0:
             raise ValueError(f"index must be a natural number, got {index!r}")
-    return QVec._from_sorted(tuple(zip(sorted(idx), vals)))
+    return QVec._from_sorted(tuple(sorted(idx)), vals)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ doubles back to s_1 itself on the same three indices, while cross sums
 fill out s_2 on four indices.  Pipeline2Certificate.recheck re-checks
 the written certificate; a failed homogenization is an oracle.PipelineFailure.
 
-Each d_l is a TupleColoring over oracle.derived, the single place where a
-level tuple becomes a vector; its index-tuple memo is the only cache.  A
+Each d_l is a TupleColoring over oracle.derived, which places the level
+pattern on a tuple through star; its index-tuple memo is the only cache.  A
 TupleColoring only takes strictly increasing tuples from range(universe),
 so for an oracle that declares order_invariant all of them share one
 color per level: d_l colors the first tuple it is asked about and gives

@@ -29,12 +29,14 @@ the written certificate.  A stage that comes up empty returns an
 oracle.PipelineFailure; only last_step's scan can be cut off by ramsey's
 budget (exhaustive=False).
 
-Every level tuple is colored through oracle.derived, the single place
-where a level tuple becomes a vector.  When the oracle declares
-order_invariant and the system's coordinates are strictly increasing
-naturals, every index-strictly-increasing tuple of a level has strictly
-increasing natural entries and so the color of the level's first tuple;
-check_levels colors that tuple only.
+Every stage colors level tuples through level_colorers, which tests the
+system once: are its coordinates strictly increasing naturals?  If they
+are, so are the entries of every tuple a stage colors, and each level's
+pattern is placed on them through QVec's trusted constructor, with none of
+star's checks.  If not, the colorer is oracle.derived, and such a system
+meets star's refusal.  When the oracle also declares order_invariant,
+every index-strictly-increasing tuple of a level has the color of the
+level's first tuple; check_levels colors that tuple only.
 
 iter_canonical_tuples is the one enumerator of level tuples for every
 stage.  shrink keeps one map of tuple colors across its searches: the
@@ -48,8 +50,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from itertools import combinations, product, repeat
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .oracle import (
     ColoringOracle,
@@ -72,8 +75,10 @@ from .pattern import (
     is_increasing_naturals,
     is_index_strictly_increasing,
     is_l_canonical,
+    make_string,
     pigeonhole_pair,
 )
+from .qvec import QVec
 from .ramsey import HomogeneousSet, TupleColoring, brute_homogeneous
 
 
@@ -101,6 +106,13 @@ class FamilySystem:
     @property
     def member_count(self) -> int:
         return self.families[0].size
+
+    @cached_property
+    def natural(self) -> bool:
+        """True iff the coordinates, each family's members and then its top
+        in family order, are strictly increasing naturals."""
+        coords = tuple(e for f in self.families for e in (*f.members, f.top))
+        return is_increasing_naturals(coords, len(coords))
 
     def payload_families(self) -> list[dict]:
         return [{"members": list(f.members), "top": f.top} for f in self.families]
@@ -281,6 +293,30 @@ def _rising_vectors(positions, coords, top_coords, l):
             vector_coords.pop()
 
 
+def level_colorers(oracle: ColoringOracle, sys: FamilySystem) -> list[Callable[[tuple], int]]:
+    """d_0 .. d_r on the system: level l's function colors the entries of a
+    level-l tuple.
+
+    Every tuple the stages color has strictly increasing entries when the
+    system is natural: each family's entries lie in its own range, the
+    ranges rise, and a pair's primed entry lies above its unprimed one.  A
+    traded tuple of replacement_search is no exception, since its member
+    lies above its pair's unprimed entry and below the next family.  So on
+    a natural system of the oracle's r, each level's pattern values are
+    placed on the entries through QVec's trusted constructor.  On any
+    other system the functions are derived, which keeps all of star's
+    checks.
+    """
+    levels = range(sys.r + 1)
+    if oracle.r != sys.r or not sys.natural:
+        return [partial(derived, oracle, l) for l in levels]
+    color, vector = oracle.color, QVec._from_sorted
+    return [
+        lambda entries, values=make_string(sys.r, l).rationals: color(vector(entries, values))
+        for l in levels
+    ]
+
+
 @dataclass(frozen=True)
 class LevelReport:
     """One level of check_levels.  tuple_count is the number of tuples
@@ -326,24 +362,25 @@ def check_levels(oracle: ColoringOracle, sys: FamilySystem) -> HomogeneityReport
     counterexample and the levels above it are never colored, and a strict
     table oracle need not map them.
 
-    When the oracle declares order_invariant and the system's coordinates
-    (each family's members, then its top, in family order) are strictly
-    increasing naturals, every index-strictly-increasing tuple has
-    strictly increasing natural entries, so all tuples of a level share
-    one color: each level colors its first tuple and stops.
+    Tuples are colored through level_colorers.  When the oracle declares
+    order_invariant and the system is natural, the entries of every
+    index-strictly-increasing tuple are strictly increasing naturals, so
+    all tuples of a level share one color: each level colors its first
+    tuple and stops.  A system that is not natural is walked through derived, so a
+    coordinate that is not a natural raises star's ValueError when a tuple
+    holding it is colored.
     """
     if oracle.r != sys.r:
         raise ValueError(f"oracle has r={oracle.r}, system has r={sys.r}")
-    coords = tuple(e for f in sys.families for e in (*f.members, f.top))
-    counted = oracle.order_invariant and is_increasing_naturals(coords, len(coords))
+    counted = oracle.order_invariant and sys.natural
     reports = []
-    for l in range(sys.r + 1):
+    for l, d in enumerate(level_colorers(oracle, sys)):
         first: tuple[CanonicalTuple, int] | None = None
         counterexample = None
         count = 0
         for t in iter_canonical_tuples(sys.families, l, index_strict=True):
             count += 1
-            c = derived(oracle, l, t.entries)
+            c = d(t.entries)
             if first is None:
                 first = (t, c)
                 if counted:
@@ -385,14 +422,14 @@ def verify_saturation(oracle: ColoringOracle, sys: FamilySystem):
     and a tuple that is its own saturated form is not colored again.
     """
     saturated_forms: dict[tuple, tuple[CanonicalTuple, int]] = {}
-    for l in range(sys.r + 1):
+    for l, d in enumerate(level_colorers(oracle, sys)):
         for t in iter_canonical_tuples(sys.families, l, index_strict=True):
             key = (l, t.index[:l])
             if key not in saturated_forms:
                 sat = saturated(sys, l, t.index[:l])
-                saturated_forms[key] = (sat, derived(oracle, l, sat.entries))
+                saturated_forms[key] = (sat, d(sat.entries))
             sat, c_sat = saturated_forms[key]
-            c_t = c_sat if t == sat else derived(oracle, l, t.entries)
+            c_t = c_sat if t == sat else d(t.entries)
             if c_t != c_sat:
                 return (l, t, c_t, sat, c_sat)
     return None
@@ -436,25 +473,25 @@ def replacement_search(
         colors = {}
     floor = max([lower, *pools[j]])
     constraints = [
-        (l, 2 * j + 1 if j < l else l + j, t.entries)
-        for l in range(sys.r + 1)
+        (d, 2 * j + 1 if j < l else l + j, t.entries)
+        for l, d in enumerate(level_colorers(oracle, sys))
         for t in iter_canonical_tuples(sys.families, l, pools=pools, containing_top_of=j)
     ]
     candidates = range(floor + 1, sys.member_count)
     # The tuples with the top in place do not depend on the candidate.
     if candidates:
-        for l, _, entries in constraints:
+        for d, _, entries in constraints:
             if entries not in colors:
-                colors[entries] = derived(oracle, l, entries)
+                colors[entries] = d(entries)
     members = sys.families[j].members
     for candidate in candidates:
         member = (members[candidate],)
         traded = []
-        for l, slot, entries in constraints:
+        for d, slot, entries in constraints:
             swapped = entries[:slot] + member + entries[slot + 1 :]
             color = colors.get(swapped)
             if color is None:
-                color = derived(oracle, l, swapped)
+                color = d(swapped)
             if color != colors[entries]:
                 break
             traded.append((swapped, color))
@@ -527,12 +564,12 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
         raise ValueError(f"final size {final_size} out of range")
     positions = list(range(sys.member_count))
     rho: list[int] = []
-    for l in range(sys.r + 1):
+    for l, d in enumerate(level_colorers(oracle, sys)):
         g = TupleColoring(
             arity=l,
             colors=oracle.r,
             universe=sys.member_count,
-            evaluate=lambda v, l=l: derived(oracle, l, saturated(sys, l, v).entries),
+            evaluate=lambda v, l=l, d=d: d(saturated(sys, l, v).entries),
         )
         seen = {g.color(t) for t in combinations(positions, l)}
         if len(seen) == 1:

@@ -11,30 +11,32 @@ lookup tables: entries sorted by index, each rendered ``index:num/den`` with
 the value in lowest terms, joined by commas.  The zero vector serializes to
 the empty string.
 
-Every QVec keeps one invariant: its entries are (index, value) pairs with
-strictly increasing natural indices and nonzero Fraction values.  The
-public constructor and parse establish it by checking every entry.
-_from_sorted is the one trusted constructor: it takes pairs that already
-satisfy the invariant and checks nothing, so only callers that guarantee
-it by construction use it.  Those are star, the order-invariant squash,
-+ (which drops every coordinate that cancels and sorts the merged
-indices) and scale (a nonzero scalar times a nonzero value is nonzero).
-The hash is computed on first use, not at construction, since most
-vectors built on the hot path are colored once and never hashed.
+A QVec is two parallel tuples: its support, the strictly increasing
+natural indices where it is nonzero, and its values, the nonzero Fractions
+at those indices in the same order.  support and values_in_order() return
+the stored tuples, and items(), iteration, serialize and repr pair them up
+on demand.  The public constructor and parse establish the invariant by
+checking every entry.  _from_sorted is the one trusted constructor: it
+takes a support tuple and a value tuple that already satisfy the invariant
+and checks nothing, so only callers that guarantee it by construction use
+it.  Those are star, the order-invariant squash, pipeline_r's level
+colorer on a system of strictly increasing naturals, + (which drops every
+coordinate that cancels and sorts the merged indices) and scale (a nonzero
+scalar times a nonzero value is nonzero).  The hash is that of the two
+tuples, computed on first use, not at construction, since most vectors
+built on the hot path are colored once and never hashed; it is used only
+within one process, and every output is ordered by serialize.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
-
-_index_of = itemgetter(0)
-_value_of = itemgetter(1)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -46,7 +48,7 @@ def _as_fraction(value: RationalLike) -> Fraction:
 class QVec:
     """Immutable finitely supported vector of rationals, indexed by naturals."""
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_support", "_values", "_hash")
 
     def __init__(self, entries: Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]] = ()):
         if isinstance(entries, Mapping):
@@ -62,52 +64,58 @@ class QVec:
             frac = _as_fraction(value)
             if frac != 0:
                 cleaned[index] = frac
-        self._items: tuple[tuple[int, Fraction], ...] = tuple(sorted(cleaned.items()))
+        self._support: tuple[int, ...] = tuple(sorted(cleaned))
+        self._values: tuple[Fraction, ...] = tuple(map(cleaned.__getitem__, self._support))
         self._hash: int | None = None
 
     @classmethod
-    def _from_sorted(cls, items: tuple[tuple[int, Fraction], ...]) -> "QVec":
-        """Trusted constructor: items must already be (natural index,
-        nonzero Fraction) pairs in strictly increasing index order."""
+    def _from_sorted(cls, support: tuple[int, ...], values: tuple[Fraction, ...]) -> "QVec":
+        """Trusted constructor: support must already be strictly increasing
+        natural indices and values the nonzero Fractions at them, of equal
+        length; both tuples are kept as they are."""
         v = object.__new__(cls)
-        v._items = items
+        v._support = support
+        v._values = values
         v._hash = None
         return v
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(map(_index_of, self._items))
+        return self._support
 
     def value(self, index: int) -> Fraction:
-        return next((value for i, value in self._items if i == index), Fraction(0))
+        k = bisect_left(self._support, index)
+        if k < len(self._support) and self._support[k] == index:
+            return self._values[k]
+        return Fraction(0)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._items
+        return tuple(self)
 
     def values_in_order(self) -> tuple[Fraction, ...]:
-        return tuple(map(_value_of, self._items))
+        return self._values
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._support)
 
     def __iter__(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self._items)
+        return zip(self._support, self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QVec):
             return NotImplemented
-        return self._items == other._items
+        return self._support == other._support and self._values == other._values
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._items)
+            self._hash = hash((self._support, self._values))
         return self._hash
 
     def __add__(self, other: "QVec") -> "QVec":
         if not isinstance(other, QVec):
             return NotImplemented
-        merged = dict(self._items)
-        for index, value in other._items:
+        merged = dict(zip(self._support, self._values))
+        for index, value in zip(other._support, other._values):
             if index in merged:
                 new = merged[index] + value
                 if new:
@@ -116,13 +124,14 @@ class QVec:
                     del merged[index]
             else:
                 merged[index] = value
-        return QVec._from_sorted(tuple(sorted(merged.items())))
+        support = tuple(sorted(merged))
+        return QVec._from_sorted(support, tuple(map(merged.__getitem__, support)))
 
     def scale(self, scalar: RationalLike) -> "QVec":
         c = _as_fraction(scalar)
         if c == 0:
             return QVec()
-        return QVec._from_sorted(tuple([(index, c * value) for index, value in self._items]))
+        return QVec._from_sorted(self._support, tuple([c * value for value in self._values]))
 
     def __mul__(self, scalar: RationalLike) -> "QVec":
         return self.scale(scalar)
@@ -131,7 +140,7 @@ class QVec:
 
     def serialize(self) -> str:
         return ",".join(
-            f"{index}:{value.numerator}/{value.denominator}" for index, value in self._items
+            f"{index}:{value.numerator}/{value.denominator}" for index, value in self
         )
 
     @classmethod
@@ -148,7 +157,7 @@ class QVec:
         return cls(pairs)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{i}: {v}" for i, v in self._items)
+        body = ", ".join(f"{i}: {v}" for i, v in self)
         return f"QVec({{{body}}})"
 
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from functools import partial
 from itertools import product
 from unittest import mock
 
@@ -25,11 +26,13 @@ from conftest import (
     ORDER_INVARIANT_DESCRIPTORS,
     PositionCutOracle,
     PrimedTopOracle,
+    outcome_of,
     profile_oracle,
     undeclared,
 )
 from sumsetlab import pipeline_r, ramsey
 from sumsetlab.oracle import (
+    ColoringOracle,
     PipelineFailure,
     WitnessCertificate,
     derived,
@@ -395,6 +398,90 @@ def test_check_levels_on_coordinates_that_are_not_naturals(members, top, bad):
     for oracle in (make_oracle("four-count", 2), undeclared(make_oracle("four-count", 2))):
         with pytest.raises(ValueError, match=message):
             check_levels(oracle, sys0)
+
+
+@pytest.mark.parametrize("stage", [
+    lambda oracle, sys: verify_saturation(oracle, sys),
+    lambda oracle, sys: replacement_search(oracle, sys, 0, [[]] * sys.r, -1),
+    lambda oracle, sys: last_step(oracle, sys, 1),
+])
+@pytest.mark.parametrize("sys0, message", [
+    (
+        FamilySystem(families=(IndexFamily((-1, 1), 2), IndexFamily((10, 11), 20))),
+        "index must be a natural number, got -1",
+    ),
+    # The oracle's r is not the system's, so a level-0 tuple has one entry
+    # more than the oracle's level-0 pattern.
+    (layout_families(3, 2), "length mismatch: 2 values vs 3 indices"),
+])
+def test_stages_off_the_naturals_meet_star(stage, sys0, message):
+    for oracle in (make_oracle("four-count", 2), make_oracle("seeded-hash:3", 2)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stage(oracle, sys0)
+
+
+class Recording(ColoringOracle):
+    """Colors as the inner oracle does and keeps each (vector, color)."""
+
+    def __init__(self, inner: ColoringOracle):
+        super().__init__(inner.r, inner.kind)
+        self.inner = inner
+        self.colored: list[tuple[QVec, int]] = []
+
+    def _color_impl(self, v):
+        c = self.inner.color(v)
+        self.colored.append((v, c))
+        return c
+
+
+@st.composite
+def natural_systems(draw):
+    """A laid-out system inside range(30) with r <= 3 families and gaps
+    anywhere, under seeded-hash or a position-dependent oracle."""
+    r = draw(st.integers(1, 3), label="r")
+    m = draw(st.integers(1, 30 // r - 1), label="m")
+    coords = sorted(draw(st.permutations(range(30)))[: r * (m + 1)])
+    sys0 = FamilySystem(
+        families=tuple(
+            IndexFamily(tuple(coords[k * (m + 1) : k * (m + 1) + m]), coords[k * (m + 1) + m])
+            for k in range(r)
+        )
+    )
+    if draw(st.booleans(), label="position-cut"):
+        oracle = PositionCutOracle(r, sys0, cut=draw(st.integers(0, m), label="cut"))
+    else:
+        oracle = make_oracle(f"seeded-hash:{draw(st.integers(0, 2**32 - 1), label='seed')}", r)
+    return oracle, sys0
+
+
+def stage_outcomes(oracle, sys0):
+    """check_levels, shrink (its searches, traded tuples included, and its
+    saturation check) and last_step on the shrunk or the given system."""
+    levels = outcome_of(lambda: check_levels(oracle, sys0))
+    shrunk = outcome_of(lambda: shrink(oracle, sys0, max(1, sys0.member_count // sys0.r)))
+    homogeneous = isinstance(shrunk, FamilySystem) and verify_saturation(oracle, shrunk) is None
+    ready = outcome_of(lambda: last_step(oracle, shrunk if homogeneous else sys0, 1))
+    return levels, shrunk, ready
+
+
+@settings(max_examples=60, deadline=None)
+@given(natural_systems())
+def test_level_colorers_color_every_tuple_as_derived_does(case):
+    inner, sys0 = case
+    assert sys0.natural
+    oracle = Recording(inner)
+    outcomes = stage_outcomes(oracle, sys0)
+    assert oracle.colored
+    for v, c in oracle.colored:
+        l = v.values_in_order().count(2) // 2
+        assert v == star(make_string(sys0.r, l), v.support)
+        assert c == derived(inner, l, v.support)
+    # Through derived, the stages color the same vectors in the same order.
+    through_derived = Recording(inner)
+    everywhere_derived = lambda oracle, sys: [partial(derived, oracle, l) for l in range(sys.r + 1)]
+    with mock.patch.object(pipeline_r, "level_colorers", everywhere_derived):
+        assert stage_outcomes(through_derived, sys0) == outcomes
+    assert through_derived.colored == oracle.colored
 
 
 def test_saturated_replaces_all_but_paired_unprimed():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sumsetlab.oracle import ColoringOracle, OrderInvariantOracle
 from sumsetlab.pattern import make_string, star
 from sumsetlab.qvec import QVec, sumset
 
@@ -93,6 +94,65 @@ def test_support_and_values_in_order_split_items(v):
     assert v.support == tuple(index for index, _ in items)
     assert v.values_in_order() == tuple(value for _, value in items)
     assert type(v.support) is tuple and type(v.values_in_order()) is tuple
+
+
+class _Squashed(ColoringOracle):
+    """Keeps the squashed vector that OrderInvariantOracle hands it."""
+
+    def __init__(self):
+        super().__init__(1, "squashed")
+        self.seen = []
+
+    def _color_impl(self, v):
+        self.seen.append(v)
+        return 0
+
+
+def squash(v: QVec) -> QVec:
+    inner = _Squashed()
+    OrderInvariantOracle(inner).color(v)
+    return inner.seen[0]
+
+
+@st.composite
+def star_built(draw):
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 4))
+        values = make_string(r, draw(st.integers(0, r)))
+    else:
+        values = draw(st.lists(rationals, min_size=1, max_size=6))
+    idx = draw(st.lists(indices, min_size=len(values), max_size=len(values), unique=True))
+    return star(values, draw(st.sampled_from([sorted(idx), idx])))
+
+
+# Vectors from every constructor: the public one and star, then parse, +,
+# scale and the order-invariant squash over their vectors.
+base_vectors = st.one_of(qvecs, star_built())
+built_vectors = st.one_of(
+    base_vectors,
+    base_vectors.map(lambda v: QVec.parse(v.serialize())),
+    st.tuples(base_vectors, base_vectors).map(lambda uv: uv[0] + uv[1]),
+    st.tuples(base_vectors, rationals).map(lambda vc: vc[0].scale(vc[1])),
+    base_vectors.map(squash),
+)
+
+
+@given(built_vectors, built_vectors)
+def test_every_construction_keeps_the_invariant(u, v):
+    for w in (u, v):
+        support, values = w.support, w.values_in_order()
+        assert type(support) is tuple and type(values) is tuple
+        assert len(support) == len(values) == len(w)
+        assert all(type(i) is int and i >= 0 for i in support)
+        assert all(a < b for a, b in zip(support, support[1:]))
+        assert all(type(value) is Fraction and value != 0 for value in values)
+        assert w.items() == tuple(zip(support, values)) == tuple(w)
+        assert w.support is w.support and w.values_in_order() is w.values_in_order()
+        for same in (QVec(w.items()), QVec.parse(w.serialize())):
+            assert same == w and hash(same) == hash(w)
+    assert (u == v) == (u.items() == v.items())
+    if u == v:
+        assert hash(u) == hash(v)
 
 
 def test_support_and_values_in_order_of_a_star_built_vector():
@@ -184,6 +244,11 @@ def test_negative_or_duplicate_indices_rejected():
         QVec({-1: 2})
     with pytest.raises(ValueError):
         QVec([(3, 1), (3, 2)])
+
+
+@given(qvecs, st.integers(-1, 65))
+def test_value_reads_the_entry_or_zero(v, index):
+    assert v.value(index) == dict(v.items()).get(index, Fraction(0))
 
 
 def test_value_outside_support_is_zero():
