@@ -571,7 +571,7 @@ def last_step(oracle: ColoringOracle, sys: FamilySystem, final_size: int):
             universe=sys.member_count,
             evaluate=lambda v, l=l, d=d: d(saturated(sys, l, v).entries),
         )
-        seen = {g.color(t) for t in combinations(positions, l)}
+        seen = set(g.colors_on(positions))
         if len(seen) == 1:
             rho.append(seen.pop())
             continue

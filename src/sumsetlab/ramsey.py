@@ -26,6 +26,17 @@ exhaustive too.
 
 Every returned set is re-checked by verify_homogeneous, a deliberately
 plain enumerator that shares no logic with the searches.
+
+A TupleColoring memoises its colors by index tuple.  Its public color
+checks each new tuple's arity, order and range.  The searches check their
+point list once, on entry, and then read colors through the memo without
+per-tuple checks: every subset of a strictly increasing list from
+range(universe) is one itself, and the tuples the end-agreement search
+builds (chain points, a later point, then the top) are increasing by
+construction.  So points that repeat or leave range(universe) are refused
+before any tuple is colored.  verify_homogeneous and colors_on likewise
+check a point list once and then color all its arity-subsets.  Each tuple
+is evaluated at most once, in the order the search asks for it.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 FULL_SCAN_POINTS = 24
 FULL_SCAN_ARITY = 4
@@ -42,7 +53,15 @@ TRUNCATED_BUDGET = 200_000
 
 
 class TupleColoring:
-    """Total coloring of strictly increasing tuples from range(universe)."""
+    """Total coloring of strictly increasing tuples from range(universe).
+
+    Colors are cached by index tuple.  color checks a tuple's arity, order
+    and range before its first evaluation.  colors_on checks a point list
+    once and then colors its arity-subsets unchecked, since every subset of
+    a strictly increasing list from range(universe) is one itself.  Both
+    read the memo through _lookup, which the searches of this module call
+    directly on tuples built from a point list they checked on entry.
+    """
 
     def __init__(self, arity: int, colors: int, universe: int, evaluate: Callable):
         if arity < 0 or colors < 1 or universe < 0:
@@ -56,14 +75,34 @@ class TupleColoring:
 
     def color(self, tup: Sequence[int]) -> int:
         key = tuple(tup)
-        cached = self._memo.get(key)
-        if cached is None:
+        if key not in self._memo:
             if len(key) != self.arity:
                 raise ValueError(f"expected arity {self.arity}, got {len(key)}")
-            if not all(map(operator.lt, key, key[1:])):
-                raise ValueError(f"tuple must be strictly increasing, got {key}")
-            if not all(map(self._points.__contains__, key)):
-                raise ValueError(f"tuple must lie in range({self.universe}), got {key}")
+            self._check(key, "tuple")
+        return self._lookup(key)
+
+    def colors_on(self, points: Sequence[int]) -> Iterator[int]:
+        """The color of each arity-subset of points, in combinations order.
+
+        points must be strictly increasing and lie in range(universe); they
+        are checked here, before any tuple is colored.  The colors are
+        computed as they are read, so a reader that stops early evaluates
+        no tuple beyond the last one it read.
+        """
+        self._check(points, "points")
+        return map(self._lookup, combinations(points, self.arity))
+
+    def _check(self, points: Sequence[int], what: str) -> None:
+        if not all(map(operator.lt, points, points[1:])):
+            raise ValueError(f"{what} must be strictly increasing, got {points}")
+        if not all(map(self._points.__contains__, points)):
+            raise ValueError(f"{what} must lie in range({self.universe}), got {points}")
+
+    def _lookup(self, key: tuple[int, ...]) -> int:
+        """The memoised color of key, which the caller guarantees has the
+        coloring's arity and is strictly increasing in range(universe)."""
+        cached = self._memo.get(key)
+        if cached is None:
             cached = self.evaluate(key)
             if not 0 <= cached < self.colors:
                 raise RuntimeError(f"coloring produced out-of-range color {cached}")
@@ -109,16 +148,17 @@ def _effective_budget(budget: int | None, n_points: int, arity: int) -> float:
 def verify_homogeneous(
     colorings: Sequence[TupleColoring], members: Sequence[int], top: int | None = None
 ):
-    """Re-evaluate every tuple of every coloring; None if all constant.
+    """Read the color of every tuple of every coloring; None if all constant.
 
-    Returns (coloring position, tuple, color, tuple, color) for the first
-    disagreement found.  Kept free of any search logic on purpose.
+    The colors come from each coloring's memo where the search left them,
+    and are evaluated otherwise.  Returns (coloring position, tuple, color,
+    tuple, color) for the first disagreement found.  Kept free of any
+    search logic on purpose.
     """
     points = sorted(members) + ([top] if top is not None else [])
     for position, coloring in enumerate(colorings):
         seen: dict[int, tuple[int, ...]] = {}
-        for tup in combinations(points, coloring.arity):
-            c = coloring.color(tup)
+        for tup, c in zip(combinations(points, coloring.arity), coloring.colors_on(points)):
             seen.setdefault(c, tup)
             if len(seen) > 1:
                 (c1, t1), (c2, t2) = sorted(seen.items())[:2]
@@ -128,15 +168,32 @@ def verify_homogeneous(
 
 def _constant_prefix(colorings: Sequence[TupleColoring], points: Sequence[int]) -> tuple[int, ...]:
     """The colors of the leading colorings that are constant on points,
-    up to the first one that is not."""
+    up to the first one that is not.
+
+    points must be strictly increasing in range(universe); every caller
+    passes a subset of a point list checked on entry to its search, so the
+    tuples are read through the memo unchecked.
+    """
     colors = []
     for coloring in colorings:
+        lookup = coloring._lookup
         tuples = combinations(points, coloring.arity)
-        first = coloring.color(next(tuples))
-        if any(coloring.color(tup) != first for tup in tuples):
-            break
+        first = lookup(next(tuples))
+        for tup in tuples:
+            if lookup(tup) != first:
+                return tuple(colors)
         colors.append(first)
     return tuple(colors)
+
+
+def _search_points(coloring: TupleColoring, points: Sequence[int] | None) -> list[int]:
+    """points sorted, or all of range(universe) when None; refused before
+    any tuple is colored unless they are distinct and in range(universe)."""
+    if points is None:
+        return list(range(coloring.universe))
+    pts = sorted(points)
+    coloring._check(pts, "points")
+    return pts
 
 
 def _least_constant_subset(
@@ -165,7 +222,7 @@ def brute_homogeneous(
     """Lexicographically least m-subset on which the coloring is constant."""
     if m < coloring.arity:
         raise ValueError(f"target size {m} below arity {coloring.arity}")
-    pts = sorted(points) if points is not None else list(range(coloring.universe))
+    pts = _search_points(coloring, points)
     return _least_constant_subset(
         [coloring], m, pts, budget, "no homogeneous set of the requested size"
     )
@@ -201,7 +258,7 @@ def _extend_level(
     back up the levels in one loop.  Level 0 is complete, so a dry source
     there means level d has no further point.
     """
-    color = coloring.color
+    color = coloring._lookup
     d = k = len(levels) - 1
     while k > 0:
         source = levels[k - 1]
@@ -268,7 +325,7 @@ def greedy_end_homogeneous(
         raise ValueError(f"end-agreement search needs arity >= 2, got {n}")
     if m < n - 1:
         raise ValueError(f"target size {m} below arity {n - 1}")
-    pts = sorted(points) if points is not None else list(range(coloring.universe))
+    pts = _search_points(coloring, points)
     cap = _effective_budget(budget, len(pts), n)
     nodes = 0
     for top in reversed(pts):
@@ -279,7 +336,7 @@ def greedy_end_homogeneous(
             arity=n - 1,
             colors=coloring.colors,
             universe=coloring.universe,
-            evaluate=lambda y, t=top: coloring.color(y + (t,)),
+            evaluate=lambda y, t=top: coloring._lookup(y + (t,)),
         )
         chain: list[int] = []
         levels = [below]
@@ -340,7 +397,7 @@ def multi_homogeneous(
     arity = max(f.arity for f in colorings)
     if m + 1 < arity:
         raise ValueError(f"target size {m} plus a top below arity {arity}")
-    pts = sorted(points) if points is not None else list(range(colorings[0].universe))
+    pts = _search_points(colorings[0], points)
     found = greedy_end_homogeneous(colorings[0], m, points=pts, budget=budget)
     if isinstance(found, NoHomogeneousSet):
         level, why, nodes = 0, found.reason, found.nodes

@@ -65,8 +65,6 @@ import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -384,7 +382,13 @@ def _parallel_results(tasks: list[tuple], workers: int, progress: Callable | Non
     stopped that way: its workers share one result queue and its lock, and
     a worker killed by Pool.terminate while holding that lock hangs the
     parent for good.
+
+    multiprocessing is imported here, so a run with one worker never loads
+    it.
     """
+    from multiprocessing import get_context
+    from multiprocessing.connection import wait
+
     ctx = get_context()
     todo = list(enumerate(tasks))[::-1]
     running = {}
@@ -715,8 +719,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(

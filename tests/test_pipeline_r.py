@@ -767,6 +767,33 @@ def test_last_step_extracts_monochromatic_positions():
     assert report.all_constant and report.colors == stepped.rho
 
 
+class PositionSumOracle(PositionCutOracle):
+    """Colors level l by l plus the positions of its unprimed entries, mod r,
+    so every level from 1 on must extract its own position set.  calls
+    counts the vectors it colors."""
+
+    def __init__(self, r, sys0):
+        super().__init__(r, sys0, cut=0)
+        self.calls = 0
+
+    def _color_impl(self, v):
+        self.calls += 1
+        values = v.values_in_order()
+        l = sum(1 for value in values if value == 2) // 2
+        support = v.support
+        return (l + sum(self._pos[support[2 * k]] for k in range(l))) % self.r
+
+
+def test_last_step_extracts_a_position_set_at_every_level():
+    sys0 = layout_families(3, 9)
+    oracle = PositionSumOracle(3, sys0)
+    stepped = last_step(oracle, sys0, 3)
+    assert stepped.rho == (0, 1, 2, 0)
+    assert [f.members for f in stepped.families] == [(1, 4, 7), (12, 15, 18), (23, 26, 29)]
+    assert [f.top for f in stepped.families] == [10, 21, 32]
+    assert oracle.calls == 41
+
+
 def test_last_step_failure_when_no_level_set_survives():
     sys0 = layout_families(3, 4)
     oracle = PositionCutOracle(3, sys0, cut=2)

@@ -410,21 +410,25 @@ def reference_greedy_end_homogeneous(coloring, m, points=None, budget=None):
 
 
 class RecordingColoring(TupleColoring):
-    """A table coloring that counts color calls and records evaluated tuples."""
+    """A table coloring that counts memo lookups and records evaluated tuples.
+
+    Every color read, through color or through a search's trusted path,
+    is one _lookup.
+    """
 
     def __init__(self, arity, colors, universe, table):
-        super().__init__(arity, colors, universe, self._lookup)
+        super().__init__(arity, colors, universe, self._read_table)
         self.table = table
         self.calls = 0
         self.evaluated = set()
 
-    def _lookup(self, tup):
+    def _read_table(self, tup):
         self.evaluated.add(tup)
         return self.table[tup]
 
-    def color(self, tup):
+    def _lookup(self, key):
         self.calls += 1
-        return super().color(tup)
+        return super()._lookup(key)
 
 
 def test_incremental_end_agreement_matches_full_recheck():
@@ -552,3 +556,125 @@ def test_multi_matches_iterated_restriction():
             outcomes["level 0" if expected.level == 0 else "level 1+"] += 1
     # The sample reaches every kind of outcome.
     assert min(outcomes.values()) >= 10, outcomes
+
+
+# ---------------------------------------------------------------------------
+# the trusted path against a coloring that checks every read
+
+
+class RecordingTable(TupleColoring):
+    """A table coloring that records its evaluations in order."""
+
+    def __init__(self, arity, colors, universe, table):
+        super().__init__(arity, colors, universe, self._read_table)
+        self.table = table
+        self.evaluated = []
+
+    def _read_table(self, tup):
+        self.evaluated.append(tup)
+        return self.table[tup]
+
+
+class CheckEveryRead(RecordingTable):
+    """The reference for the searches' trusted path: every read, however
+    the search makes it, goes through one color that checks the tuple on a
+    memo miss, and no point list is checked up front."""
+
+    def color(self, tup):
+        key = tuple(tup)
+        cached = self._memo.get(key)
+        if cached is None:
+            if len(key) != self.arity:
+                raise ValueError(f"expected arity {self.arity}, got {len(key)}")
+            if any(a >= b for a, b in zip(key, key[1:])):
+                raise ValueError(f"tuple must be strictly increasing, got {key}")
+            if any(not 0 <= p < self.universe for p in key):
+                raise ValueError(f"tuple must lie in range({self.universe}), got {key}")
+            cached = self.evaluate(key)
+            if not 0 <= cached < self.colors:
+                raise RuntimeError(f"coloring produced out-of-range color {cached}")
+            self._memo[key] = cached
+        return cached
+
+    _lookup = color
+
+    def _check(self, points, what):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_searches_on_the_trusted_path_match_checking_every_read(data):
+    universe = data.draw(st.integers(2, 13), label="universe")
+    colors = data.draw(st.integers(1, 3), label="colors")
+    arities = data.draw(
+        st.lists(st.integers(2, min(4, universe)), min_size=1, max_size=3), label="arities"
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
+    bias = data.draw(st.sampled_from((0.5, 0.8, 0.95)), label="bias")
+    tables = [
+        {
+            tup: 0 if rng.random() < bias else rng.randrange(colors)
+            for tup in combinations(range(universe), arity)
+        }
+        for arity in arities
+    ]
+    points = data.draw(
+        st.none() | st.lists(st.integers(0, universe - 1), unique=True), label="points"
+    )
+    budget = data.draw(st.none() | st.integers(1, 60), label="budget")
+    m = data.draw(st.integers(max(arities) - 1, universe), label="m")
+    searches = [
+        lambda fs: multi_homogeneous(fs, m, points=points, budget=budget),
+        lambda fs: greedy_end_homogeneous(fs[0], m, points=points, budget=budget),
+    ]
+    if m >= arities[0]:
+        searches.append(lambda fs: brute_homogeneous(fs[0], m, points=points, budget=budget))
+    for search in searches:
+        runs = []
+        for kind in (RecordingTable, CheckEveryRead):
+            fs = [kind(a, colors, universe, table) for a, table in zip(arities, tables)]
+            runs.append(
+                (search(fs), [f.evaluated for f in fs], [list(f._memo.items()) for f in fs])
+            )
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "points, bad",
+    [
+        ((0, 2, 2, 4), "strictly increasing"),
+        ((0, 3, 9), r"range\(9\)"),
+        ((-1, 2, 3), r"range\(9\)"),
+    ],
+)
+def test_a_bad_point_list_is_refused_before_any_tuple_is_colored(points, bad):
+    asked = []
+    searches = [
+        lambda f: list(f.colors_on(points)),
+        lambda f: verify_homogeneous([f], points),
+        lambda f: brute_homogeneous(f, 3, points=points),
+        lambda f: greedy_end_homogeneous(f, 2, points=points),
+        lambda f: multi_homogeneous([f, f], 2, points=points),
+    ]
+    for search in searches:
+        f = TupleColoring(2, 2, 9, lambda t: asked.append(t) or 0)
+        with pytest.raises(ValueError, match=bad):
+            search(f)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        list(TupleColoring(2, 2, 9, asked.append).colors_on((0, 4, 3)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        verify_homogeneous([TupleColoring(2, 2, 9, asked.append)], (0, 4), top=3)
+    assert asked == []
+
+
+def test_colors_on_reads_arity_subsets_in_order_through_the_memo():
+    asked = []
+    f = TupleColoring(2, 3, 6, lambda t: asked.append(t) or (t[0] + t[1]) % 3)
+    assert f.color((1, 4)) == 2
+    assert list(f.colors_on([0, 1, 4])) == [1, 1, 2]
+    assert asked == [(1, 4), (0, 1), (0, 4)]
+    # Colors are computed as they are read.
+    seen = f.colors_on([2, 3, 5])
+    assert next(seen) == 2 and asked[-1] == (2, 3)
+    assert len(asked) == 4

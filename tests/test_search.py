@@ -14,8 +14,11 @@ import functools
 import json
 import multiprocessing
 import re
+import subprocess
+import sys
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from sumsetlab.search import (
     has_mono_sumset,
     threshold_scan,
     write_csv,
+    write_text_atomic,
 )
 
 LEAST_FORCED_M = 14
@@ -945,3 +949,29 @@ def test_write_csv_forced_rows_have_no_witness_file(tmp_path):
     written = write_csv([record], out)
     assert written == [out]
     assert out.read_text() == "k,r,M,verdict,witness\n2,2,14,FORCED,\n"
+
+
+def test_write_text_atomic_leaves_only_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    write_text_atomic(target, "old\n")
+    # After the rename there is no temp file left to remove.
+    monkeypatch.setattr(Path, "unlink", lambda *args, **kwargs: pytest.fail("unlink called"))
+    write_text_atomic(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_text_atomic_failure_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(target, "half written \ud800")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_importing_the_package_does_not_load_multiprocessing():
+    # Only a search with more than one worker needs it.
+    code = "import sys, sumsetlab, sumsetlab.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
