@@ -27,6 +27,7 @@ from .oracle import (
     PipelineFailure,
     SeededHashOracle,
     SupportSizeOracle,
+    TableError,
     UnmappedVector,
     WitnessCertificate,
     WitnessFailure,

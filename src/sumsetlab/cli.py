@@ -17,13 +17,21 @@ outputs always carry the resolved seed so certificates self-describe.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
 from pathlib import Path
 
 from .deltasys import SupportAssignment, check_cl3, check_cl4, generate_canonical
-from .oracle import PipelineFailure, UnsoundCertificate, check_points, derived, make_oracle
+from .oracle import (
+    PipelineFailure,
+    TableError,
+    UnsoundCertificate,
+    check_points,
+    derived,
+    make_oracle,
+)
 from .pipeline2 import Pipeline2Certificate, construct2, derived_tuple_colorings
 from .pipeline_r import PipelineRCertificate, construct_r
 from .ramsey import (
@@ -289,7 +297,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process on first use.
+
+    parse_args keeps its results in a fresh namespace per call, so one
+    parser serves any number of main calls.  Each subcommand names its
+    cmd_* function, which main looks up when it runs, so a function
+    rebound on this module after the parser was built is the one called.
+    """
     parser = _Parser(prog="sumsetlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -304,7 +320,7 @@ def build_parser() -> _Parser:
     p2.add_argument("--n", type=int, required=True, help="universe size")
     p2.add_argument("--m", type=int, required=True, help="homogeneous member count")
     p2.add_argument("--budget", type=int, default=None)
-    p2.set_defaults(run=cmd_construct2)
+    p2.set_defaults(run="cmd_construct2")
 
     pr = sub.add_parser("construct-r", help="general witness pipeline")
     common(pr)
@@ -313,7 +329,7 @@ def build_parser() -> _Parser:
     pr.add_argument("--m", type=int, required=True, help="final member count per family")
     pr.add_argument("--count", type=int, default=None, help="witness family size")
     pr.add_argument("--shrink-size", type=int, default=None)
-    pr.set_defaults(run=cmd_construct_r)
+    pr.set_defaults(run="cmd_construct_r")
 
     pram = sub.add_parser("ramsey", help="direct homogeneous-set search")
     common(pram)
@@ -323,7 +339,7 @@ def build_parser() -> _Parser:
     pram.add_argument("--m", type=int, required=True)
     pram.add_argument("--method", choices=("greedy", "brute"), default="greedy")
     pram.add_argument("--budget", type=int, default=None)
-    pram.set_defaults(run=cmd_ramsey)
+    pram.set_defaults(run="cmd_ramsey")
 
     ps = sub.add_parser("search", help="threshold scan for monochromatic sumsets")
     ps.add_argument("--k", type=int, required=True, help="witness size")
@@ -338,7 +354,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--checkpoint-interval", type=int, default=DEFAULT_CHECKPOINT_INTERVAL)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True, help="CSV table path")
-    ps.set_defaults(run=cmd_search)
+    ps.set_defaults(run="cmd_search")
 
     pd = sub.add_parser("deltasys", help="generate or check support assignments")
     pd.add_argument("--check", default=None, help="assignment JSON to re-check")
@@ -348,11 +364,11 @@ def build_parser() -> _Parser:
     pd.add_argument("--universe", type=int, default=None)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--out", default=None, help="write the assignment JSON here")
-    pd.set_defaults(run=cmd_deltasys)
+    pd.set_defaults(run="cmd_deltasys")
 
     pv = sub.add_parser("verify", help="re-verify an emitted certificate")
     pv.add_argument("certificate", help="certificate JSON path")
-    pv.set_defaults(run=cmd_verify)
+    pv.set_defaults(run="cmd_verify")
 
     return parser
 
@@ -361,8 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
-    except ValueError as exc:
+        return globals()[args.run](args)
+    except (ValueError, TableError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnsoundCertificate as exc:

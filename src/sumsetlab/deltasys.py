@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .qvec import QVec
@@ -184,21 +184,29 @@ class CheckReport:
 def check_cl3(assignment: SupportAssignment) -> CheckReport:
     """Intersection law over every unordered pair of domain sets.
 
-    Each support becomes a frozenset once, so a pair costs one
-    intersection and one comparison; the meet is sorted only to describe
-    a failure.  checks counts the pairs, each set paired with itself too.
+    Every point of E and of the supports gets its own bit, by its rank
+    among them, so any integer labels work.  Each domain set u and each
+    support W(u) becomes an int mask once, and W(u & v) is found by the
+    mask of u & v; a pair then costs one & of each kind and one
+    comparison.  Sets and text are built only for a failing pair.  checks
+    counts the pairs, each set paired with itself too.
     """
     W = assignment.W
     subsets = sorted(W, key=lambda u: (len(u), sorted(u)))
-    sets = {u: frozenset(W[u]) for u in subsets}
+    bit = {x: 1 << i for i, x in enumerate(sorted(set(assignment.E).union(*W.values())))}
+    masks = [
+        (sum(map(bit.__getitem__, u)), sum(map(bit.__getitem__, W[u])), u) for u in subsets
+    ]
+    support_of = {u_mask: w_mask for u_mask, w_mask, _ in masks}
     violations = []
-    for u, v in combinations_with_replacement(subsets, 2):
-        meet = sets[u] & sets[v]
-        if meet != sets[u & v]:
-            violations.append(
-                f"W({_sorted_subset(u)}) & W({_sorted_subset(v)}) = {tuple(sorted(meet))}, "
-                f"but W({_sorted_subset(u & v)}) = {W[u & v]}"
-            )
+    for i, (u_mask, w_mask, u) in enumerate(masks):
+        for v_mask, w_mask_v, v in masks[i:]:
+            if w_mask & w_mask_v != support_of[u_mask & v_mask]:
+                meet = tuple(sorted(set(W[u]) & set(W[v])))
+                violations.append(
+                    f"W({_sorted_subset(u)}) & W({_sorted_subset(v)}) = {meet}, "
+                    f"but W({_sorted_subset(u & v)}) = {W[u & v]}"
+                )
     checks = len(subsets) * (len(subsets) + 1) // 2
     return CheckReport(law="CL3", violations=tuple(violations), checks=checks)
 

@@ -53,7 +53,12 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-class UnmappedVector(Exception):
+class TableError(Exception):
+    """A table oracle cannot give a color: its file cannot be read, or its
+    table does not map the vector asked about."""
+
+
+class UnmappedVector(TableError):
     """A strict table oracle was asked about a vector outside its table."""
 
 
@@ -207,7 +212,11 @@ class OrderInvariantOracle(ColoringOracle):
 def read_table_file(path: str) -> dict[str, int]:
     """Read a table file: one 'serialized-vector<TAB>color' entry per line."""
     table: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise TableError(f"cannot read table file {path}: {exc.strerror or exc}") from exc
+    with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line:

@@ -35,8 +35,10 @@ range(universe) is one itself, and the tuples the end-agreement search
 builds (chain points, a later point, then the top) are increasing by
 construction.  So points that repeat or leave range(universe) are refused
 before any tuple is colored.  verify_homogeneous and colors_on likewise
-check a point list once and then color all its arity-subsets.  Each tuple
-is evaluated at most once, in the order the search asks for it.
+check a point list once and then color all its arity-subsets;
+verify_homogeneous first reads them straight off the memo in one pass,
+which settles a coloring the search left fully memoised in one color.
+Each tuple is evaluated at most once, in the order the search asks for it.
 """
 
 from __future__ import annotations
@@ -139,6 +141,8 @@ class NoHomogeneousSet:
 
 def _effective_budget(budget: int | None, n_points: int, arity: int) -> float:
     if budget is not None:
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         return budget
     if n_points <= FULL_SCAN_POINTS and arity <= FULL_SCAN_ARITY:
         return math.inf
@@ -154,11 +158,23 @@ def verify_homogeneous(
     and are evaluated otherwise.  Returns (coloring position, tuple, color,
     tuple, color) for the first disagreement found.  Kept free of any
     search logic on purpose.
+
+    The points are checked once per coloring, before any tuple is read.
+    A coloring whose memo holds every tuple in one color is then settled
+    by one pass over the memo.  Otherwise its tuples are read in
+    combinations order, evaluating the missing ones, up to the first
+    disagreement; so the result, and the tuples evaluated and their
+    order, are those of reading every coloring in that order.
     """
     points = sorted(members) + ([top] if top is not None else [])
     for position, coloring in enumerate(colorings):
+        coloring._check(points, "points")
+        memoised = set(map(coloring._memo.get, combinations(points, coloring.arity)))
+        if len(memoised) <= 1 and None not in memoised:
+            continue
         seen: dict[int, tuple[int, ...]] = {}
-        for tup, c in zip(combinations(points, coloring.arity), coloring.colors_on(points)):
+        for tup in combinations(points, coloring.arity):
+            c = coloring._lookup(tup)
             seen.setdefault(c, tup)
             if len(seen) > 1:
                 (c1, t1), (c2, t2) = sorted(seen.items())[:2]

@@ -191,6 +191,11 @@ def _strike_table(k: int, M: int, limit: int) -> tuple[list[list[int]], list[lis
     return masks, targets
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 def find_bad_coloring(
     k: int,
     r: int,
@@ -227,6 +232,7 @@ def find_bad_coloring(
     """
     if k < 1 or r < 1 or M < 0:
         raise ValueError("need k >= 1, r >= 1, M >= 0")
+    _check_budget(budget)
     limit = _x_limit(M, x_max)
     if len(forced_prefix) > M:
         raise ValueError("forced prefix longer than the universe")
@@ -534,8 +540,12 @@ def threshold_scan(
     whose stored rows skip an M or already break that order is refused.
     With a checkpoint path the scan persists completed records plus a
     per-task log of the M in flight, under any worker count, and resumes
-    from them.
+    from them.  k < 1, r < 1, M_max < 0 and a negative budget are refused
+    with ValueError before a checkpoint is read or a task is run.
     """
+    if k < 1 or r < 1 or M_max < 0:
+        raise ValueError("need k >= 1, r >= 1, M >= 0")
+    _check_budget(budget)
     if workers < 1:
         raise ValueError("need at least one worker")
     if checkpoint_interval < 1:

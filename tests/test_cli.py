@@ -11,6 +11,7 @@ from __future__ import annotations
 import builtins
 import errno
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -817,6 +818,149 @@ def test_value_errors_exit_one(capsys):
     code = main(["construct2", "--oracle", "no-such-oracle", "--n", "12", "--m", "4"])
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_per_process_on_first_use(tmp_path):
+    # A fresh interpreter, so no earlier main call has built the parser.
+    script = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import sumsetlab.cli
+print(len(built))
+for _ in range(3):
+    assert sumsetlab.cli.main(["deltasys", "--E", "0,1", "--d", "1", "--pad", "0,1"]) == 0
+    print(len(built))
+"""
+    src = str(Path(sumsetlab.cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    counts = [int(line) for line in done.stdout.splitlines() if line.isdigit()]
+    # The top-level parser and one per subcommand, built at the first call.
+    assert counts == [0, 7, 7, 7]
+
+
+USAGE_ERRORS = [
+    ["construct2", "--oracle", "four-count", "--m", "4"],
+    ["not-a-subcommand"],
+    ["construct2", "--oracle", "four-count", "--n", "x", "--m", "4"],
+]
+
+
+def _usage_error(argv, capsys) -> str:
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    return capsys.readouterr().err
+
+
+def test_usage_errors_read_the_same_after_successful_calls(tmp_path, capsys):
+    before = [_usage_error(argv, capsys) for argv in USAGE_ERRORS]
+    assert "the following arguments are required: --n" in before[0]
+    assert "invalid choice: 'not-a-subcommand'" in before[1]
+    assert "argument --n: invalid int value: 'x'" in before[2]
+    run_ok(["construct2", "--oracle", "four-count", "--n", "12", "--m", "4",
+            "--out", str(tmp_path / "c.json")])
+    run_ok(["search", "--k", "2", "--r", "2", "--m-max", "4", "--out", str(tmp_path / "s.csv")])
+    run_ok(["verify", str(tmp_path / "c.json")])
+    assert [_usage_error(argv, capsys) for argv in USAGE_ERRORS] == before
+
+
+def test_options_do_not_leak_between_calls(tmp_path):
+    argv = ["construct2", "--oracle", "seeded-hash", "--n", "16", "--m", "5"]
+    main([*argv, "--budget", "5", "--seed", "3", "--out", str(tmp_path / "budgeted.json")])
+    run_ok([*argv, "--out", str(tmp_path / "plain.json")])
+    config = json.loads((tmp_path / "plain.json").read_text())["config"]
+    assert config["budget"] is None
+    assert config["seed"] == 0
+    assert config["oracle"] == "seeded-hash:0"
+
+
+# ---------------------------------------------------------------------------
+# table files, and arguments refused before any work
+
+
+def test_a_missing_table_file_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.tsv"
+    code = main(["construct2", "--oracle", f"external-table-file:{missing}", "--n", "12",
+                 "--m", "4"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"sumsetlab: error: cannot read table file {missing}: No such file or directory\n"
+
+
+def test_verify_of_a_certificate_naming_a_missing_table_is_one_error_line(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run_ok(["construct2", "--oracle", "four-count", "--n", "12", "--m", "4", "--out", str(cert)])
+    missing = tmp_path / "gone.tsv"
+    payload = json.loads(cert.read_text())
+    payload["config"]["oracle"] = f"external-table-file:{missing}"
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"sumsetlab: error: cannot read table file {missing}: No such file or directory\n"
+
+
+def test_an_unmapped_vector_is_one_error_line_naming_it(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    code = main(["ramsey", "--oracle", f"external-table-file:{empty}", "--r", "2",
+                 "--level", "0", "--n", "4", "--m", "2"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("sumsetlab: error: vector '") and err.count("\n") == 1
+    assert err.endswith("' is not mapped by the table\n")
+    assert list(tmp_path.iterdir()) == [empty]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--k", "2", "--r", "2", "--m-max", "-1"], "need k >= 1, r >= 1, M >= 0"),
+        (["--k", "0", "--r", "2", "--m-max", "0"], "need k >= 1, r >= 1, M >= 0"),
+        (["--k", "2", "--r", "0", "--m-max", "3"], "need k >= 1, r >= 1, M >= 0"),
+        (["--k", "2", "--r", "2", "--m-max", "4", "--budget", "-1"],
+         "budget must be nonnegative, got -1"),
+    ],
+)
+def test_search_refuses_bad_arguments_before_writing(tmp_path, capsys, args, message):
+    code = main(["search", *args, "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"sumsetlab: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_refuses_a_negative_m_max_over_a_checkpoint(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    argv = ["search", "--k", "2", "--r", "2", "--checkpoint", str(state)]
+    run_ok([*argv, "--m-max", "5", "--out", str(tmp_path / "five.csv")])
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([*argv, "--m-max", "-1", "--out", str(tmp_path / "again.csv")]) == EXIT_USAGE
+    assert "need k >= 1, r >= 1, M >= 0" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct2", "--oracle", "four-count", "--n", "12", "--m", "4"],
+        ["ramsey", "--oracle", "four-count", "--r", "2", "--level", "0", "--n", "12", "--m", "4"],
+    ],
+)
+def test_a_negative_budget_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--budget", "-1", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "sumsetlab: error: budget must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

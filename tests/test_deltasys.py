@@ -347,7 +347,7 @@ def _key(u):
 def reference_check_cl3(assignment):
     """CL3 decided by rebuilding both supports as sets for every pair.
 
-    check_cl3 builds each support's set once; both must give the same
+    check_cl3 decides each pair on bit masks; both must give the same
     violations, check count and description.
     """
     violations = []
@@ -514,6 +514,47 @@ def test_rank_signatures_match_order_isos_on_the_hand_built_cases():
         with_support(small_instance(), (0,), (0,)),
     ):
         assert_same_laws(assignment)
+
+
+def relabelled(assignment, label):
+    """The assignment with every point x renamed label(x), label increasing."""
+    table = {
+        frozenset(map(label, u)): tuple(map(label, support))
+        for u, support in assignment.W.items()
+    }
+    return SupportAssignment(E=tuple(map(label, assignment.E)), d=assignment.d, W=table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cl3_on_bit_masks_matches_the_reference_on_any_labels(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="instance seed"))
+    g = random_instance(rng)
+    scale = data.draw(st.sampled_from((1, 3, 10**6, 2**70)), label="scale")
+    shift = data.draw(st.integers(-(2**80), 2**20), label="shift")
+    assignment = relabelled(g, lambda x: x * scale + shift)
+    # Up to three supports traded for points drawn from the labels in use
+    # and from far outside them, on either side of zero.
+    labels = sorted({x for support in assignment.W.values() for x in support})
+    pool = labels + [-(2**90), -7, 0, 5 * 10**12] + [x + 1 for x in labels]
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        u = rng.choice(assignment.domain())
+        extra = [x for x in dict.fromkeys(pool) if x not in u]
+        trade = rng.sample(extra, rng.randint(0, min(4, len(extra))))
+        assignment = with_support(assignment, u, u + tuple(trade))
+    ours, ref = check_cl3(assignment), reference_check_cl3(assignment)
+    assert ours.violations == ref.violations
+    assert ours.checks == ref.checks
+    assert ours.describe() == ref.describe()
+
+
+def test_cl3_on_bit_masks_names_a_violation_at_negative_labels():
+    g = generate_canonical((0, 1), 1, {0: 1, 1: 1})
+    shifted = relabelled(g, lambda x: 10**9 * x - 4 * 10**9)
+    broken = with_support(shifted, (-(4 * 10**9),), (-(4 * 10**9), -(3 * 10**9)))
+    report = check_cl3(broken)
+    assert report == reference_check_cl3(broken)
+    assert not report.clean and report.checks == 6
 
 
 def test_both_laws_match_the_references_on_the_benchmark_instance():

@@ -93,6 +93,22 @@ def test_brute_below_arity_is_rejected():
         brute_homogeneous(constant_coloring(3, 8), 2)
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda f: brute_homogeneous(f, 3, budget=-1),
+        lambda f: greedy_end_homogeneous(f, 3, budget=-1),
+        lambda f: multi_homogeneous([f], 3, budget=-1),
+    ],
+)
+def test_a_negative_budget_is_refused_before_any_tuple_is_colored(search):
+    asked = []
+    f = TupleColoring(2, 2, 6, lambda t: asked.append(t) or 0)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        search(f)
+    assert asked == []
+
+
 def test_brute_budget_zero_is_not_exhaustive():
     outcome = brute_homogeneous(pentagon_coloring(), 3, budget=0)
     assert isinstance(outcome, NoHomogeneousSet)
@@ -412,8 +428,9 @@ def reference_greedy_end_homogeneous(coloring, m, points=None, budget=None):
 class RecordingColoring(TupleColoring):
     """A table coloring that counts memo lookups and records evaluated tuples.
 
-    Every color read, through color or through a search's trusted path,
-    is one _lookup.
+    calls counts the colors read through _lookup: every read of color and
+    of a search's trusted path.  verify_homogeneous reads a memo that holds
+    every tuple in one color directly, so those reads are not counted.
     """
 
     def __init__(self, arity, colors, universe, table):
@@ -678,3 +695,51 @@ def test_colors_on_reads_arity_subsets_in_order_through_the_memo():
     seen = f.colors_on([2, 3, 5])
     assert next(seen) == 2 and asked[-1] == (2, 3)
     assert len(asked) == 4
+
+
+def reference_verify_homogeneous(colorings, members, top=None):
+    """Every tuple of every coloring read through the memo in combinations
+    order, up to the first disagreement, with no pass over the memo first."""
+    points = sorted(members) + ([top] if top is not None else [])
+    for position, coloring in enumerate(colorings):
+        seen = {}
+        for tup, c in zip(combinations(points, coloring.arity), coloring.colors_on(points)):
+            seen.setdefault(c, tup)
+            if len(seen) > 1:
+                (c1, t1), (c2, t2) = sorted(seen.items())[:2]
+                return (position, t1, c1, t2, c2)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_homogeneous_matches_the_ordered_walk_on_partly_filled_memos(data):
+    universe = data.draw(st.integers(1, 9), label="universe")
+    colors = data.draw(st.integers(1, 3), label="colors")
+    arities = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3), label="arities")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
+    bias = data.draw(st.sampled_from((0.0, 0.9, 1.0)), label="bias")
+    tables = [
+        {
+            tup: 0 if rng.random() < bias else rng.randrange(colors)
+            for tup in combinations(range(universe), arity)
+        }
+        for arity in arities
+    ]
+    points = data.draw(
+        st.lists(st.integers(0, universe - 1), unique=True, max_size=7), label="points"
+    )
+    top = None
+    if points and data.draw(st.booleans(), label="with top"):
+        points = sorted(points)
+        top = points.pop()
+    filled = data.draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)), label="memo share")
+    memo_seed = rng.getrandbits(32)
+    runs = []
+    for verify in (verify_homogeneous, reference_verify_homogeneous):
+        fs = [RecordingTable(a, colors, universe, table) for a, table in zip(arities, tables)]
+        memo_rng = random.Random(memo_seed)
+        for f, table in zip(fs, tables):
+            f._memo.update((tup, c) for tup, c in table.items() if memo_rng.random() < filled)
+        runs.append((verify(fs, points, top), [f.evaluated for f in fs]))
+    assert runs[0] == runs[1]

@@ -234,6 +234,10 @@ def test_find_bad_coloring_validation():
         find_bad_coloring(2, 2, 4, forced_prefix=(0, 1), resume_from=(0, 0, 1))
     with pytest.raises(ValueError, match="out of range"):
         find_bad_coloring(2, 2, 4, resume_from=(0, -1))
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        find_bad_coloring(2, 2, 4, budget=-1)
+    # Budget 0 stays valid: the first node already crosses it.
+    assert not find_bad_coloring(2, 2, 4, budget=0).exhausted
 
 
 def test_find_bad_coloring_checkpoint_callback():
@@ -542,6 +546,32 @@ def test_threshold_scan_validation():
     for interval in (0, -3):
         with pytest.raises(ValueError, match="checkpoint interval of at least one node"):
             threshold_scan(2, 2, 4, checkpoint_interval=interval)
+
+
+@pytest.mark.parametrize(
+    "args, budget, message",
+    [
+        ((2, 2, -1), None, "need k >= 1, r >= 1, M >= 0"),
+        ((0, 2, 0), None, "need k >= 1, r >= 1, M >= 0"),
+        ((2, 0, 3), None, "need k >= 1, r >= 1, M >= 0"),
+        ((2, 2, 4), -1, "budget must be nonnegative, got -1"),
+    ],
+)
+def test_threshold_scan_refuses_bad_arguments_up_front(tmp_path, args, budget, message):
+    path = tmp_path / "scan.json"
+    threshold_scan(2, 2, 5, budget=budget if budget is None else 50, checkpoint_path=path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold_scan(*args, budget=budget, checkpoint_path=path)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold_scan(*args, budget=budget, checkpoint_path=tmp_path / "fresh.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
+def test_threshold_scan_budget_zero_leaves_every_row_undecided():
+    records = threshold_scan(2, 2, 3, budget=0)
+    assert [rec.verdict for rec in records] == [UNDECIDED] * 3
 
 
 # ---------------------------------------------------------------------------
