@@ -281,12 +281,24 @@ _RECHECKERS = {
 
 
 def cmd_verify(args) -> int:
+    path = args.certificate
     try:
-        payload = json.loads(Path(args.certificate).read_text())
-        kind = payload["kind"]
-        recheck = _RECHECKERS[kind]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        return _fail(f"not a certificate: {exc!r}", EXIT_USAGE)
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        payload = json.loads(data)
+    except ValueError:  # not JSON, or not in a JSON encoding
+        raise ValueError(f"{path} is not a certificate: it is not JSON") from None
+    except RecursionError:
+        raise ValueError(f"{path} is not a certificate: its JSON nests too deeply") from None
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if not isinstance(kind, str) or kind not in _RECHECKERS:
+        raise ValueError(
+            f"{path} is not a certificate: a certificate is a JSON object whose kind "
+            f"is one of {', '.join(sorted(_RECHECKERS))}"
+        )
+    recheck = _RECHECKERS[kind]
     try:
         recheck(payload)
     except UnsoundCertificate as exc:

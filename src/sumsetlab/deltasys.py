@@ -32,15 +32,14 @@ tests rather than trusting the argument above.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .qvec import QVec
+from .record import Record
 
 
-@dataclass(frozen=True)
-class OrderIso:
+class OrderIso(Record):
     """The unique order-preserving bijection between two equal-size index
     sets, realized by matching ranks."""
 
@@ -86,8 +85,7 @@ def _sorted_subset(u: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(u))
 
 
-@dataclass(frozen=True)
-class SupportAssignment:
+class SupportAssignment(Record):
     """W: [E]^(<= d) -> finite index sets with u <= W(u), full domain."""
 
     E: tuple[int, ...]
@@ -158,8 +156,7 @@ class SupportAssignment:
         return cls.from_payload(json.loads(text))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     law: str
     violations: tuple[str, ...]
     precondition_failures: tuple[str, ...] = ()

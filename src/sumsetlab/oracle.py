@@ -34,11 +34,11 @@ is what either pipeline returns when it comes up empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .pattern import make_string, star
 from .qvec import QVec, sumset
+from .record import Record
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -263,8 +263,7 @@ def derived(oracle: ColoringOracle, l: int, indices: Sequence[int]) -> int:
     return oracle.color(star(make_string(oracle.r, l), indices))
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(Record):
     """A witness set, its single sum color, and the full evaluation table."""
 
     vectors: tuple[QVec, ...]
@@ -279,8 +278,7 @@ class WitnessCertificate:
         return {"X": [v.serialize() for v in self.vectors], "sums": self.sums_payload()}
 
 
-@dataclass(frozen=True)
-class WitnessFailure:
+class WitnessFailure(Record):
     """Two pairwise sums that received different colors."""
 
     first: tuple[QVec, int]
@@ -329,8 +327,7 @@ def certified_witness(
     return outcome
 
 
-@dataclass(frozen=True)
-class PipelineFailure:
+class PipelineFailure(Record):
     """A pipeline stage that came up empty; exhaustive is False when a
     budget cut its search off, so that no witness may still exist."""
 

@@ -31,12 +31,12 @@ Both witness pipelines end in pigeonhole_pair and halved_family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .qvec import QVec, RationalLike
+from .record import Record
 
 
 class _TopType:
@@ -86,18 +86,18 @@ def is_top(position: Position) -> bool:
     return isinstance(position, _TopType)
 
 
-@dataclass(frozen=True)
-class PatternString:
+class PatternString(Record):
     """String of nonzero values used by the star operation; s_l = 2^(2l) 4^(r-l).
 
     The values are checked nonzero once, at construction, and kept as
     Fractions in ``rationals``, so star places them without re-checking.
+    ``rationals`` is derived from ``values``, so it is not a field: it is
+    neither printed nor compared.
     """
 
     r: int
     l: int
     values: tuple[int, ...]
-    rationals: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rationals = tuple(Fraction(v) for v in self.values)
@@ -176,8 +176,7 @@ def star(values: Union[PatternString, Sequence[RationalLike]], indices: Iterable
     return QVec._from_sorted(tuple(sorted(idx)), vals)
 
 
-@dataclass(frozen=True)
-class IndexFamily:
+class IndexFamily(Record):
     """Finitely many member indices in increasing order plus one top above them."""
 
     members: tuple[int, ...]
@@ -254,8 +253,7 @@ def families_are_laid_out(families: Sequence[IndexFamily]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CanonicalTuple:
+class CanonicalTuple(Record):
     """Level-l tuple: a pair from each of the first l families, singles after.
 
     ``index`` holds the unprimed positions (one per family), ``primed`` the
@@ -274,8 +272,8 @@ class CanonicalTuple:
     @classmethod
     def _from_parts(cls, l, index, primed, entries) -> "CanonicalTuple":
         """The same tuple as cls(l, index, primed, entries), built without
-        the frozen dataclass __init__, which sets each field through
-        object.__setattr__.  Like that __init__ it checks nothing; the
+        Record.__init__, which matches its arguments to the fields by
+        position and name.  Like that __init__ it checks nothing; the
         enumerator's hot loop builds every tuple through it."""
         t = object.__new__(cls)
         fields = t.__dict__

@@ -31,7 +31,6 @@ every later one that color.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .oracle import (
     ColoringOracle,
@@ -47,6 +46,7 @@ from .oracle import (
 from .pattern import IndexFamily, halved_family, pigeonhole_pair
 from .qvec import QVec
 from .ramsey import HomogeneousSet, NoHomogeneousSet, TupleColoring, multi_homogeneous
+from .record import Record
 
 
 class Case(enum.Enum):
@@ -69,8 +69,7 @@ def case_of(rho0: int, rho1: int, rho2: int) -> Case:
     return next(case for case, levels in CASE_LEVELS.items() if levels == pair)
 
 
-@dataclass(frozen=True)
-class Pipeline2Certificate:
+class Pipeline2Certificate(Record):
     case: Case
     members: tuple[int, ...]
     top: int

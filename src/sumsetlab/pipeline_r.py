@@ -49,7 +49,6 @@ trade rewrites only the slot that holds the top.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import combinations, product, repeat
 from typing import Callable, Iterator, Sequence
@@ -80,10 +79,10 @@ from .pattern import (
 )
 from .qvec import QVec
 from .ramsey import HomogeneousSet, TupleColoring, brute_homogeneous
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FamilySystem:
+class FamilySystem(Record):
     """r index families on disjoint increasing ranges, equally sized, each
     with a top; rho holds the per-level constants once they are known."""
 
@@ -317,8 +316,7 @@ def level_colorers(oracle: ColoringOracle, sys: FamilySystem) -> list[Callable[[
     ]
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(Record):
     """One level of check_levels.  tuple_count is the number of tuples
     colored: the whole level when it is walked and constant, up to and
     including the counterexample's second tuple when it is not, and 1 for
@@ -333,8 +331,7 @@ class LevelReport:
     counterexample: tuple | None  # (tuple_a, color_a, tuple_b, color_b)
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(Record):
     """The levels check_levels colored, from level 0 on.  Every level but
     the last is constant; the report ends at the first level that is not,
     so it lists all r + 1 levels exactly when all_constant holds."""
@@ -531,7 +528,7 @@ def shrink(oracle: ColoringOracle, sys: FamilySystem, target: int):
         for family in range(sys.r):
             picked = replacement_search(oracle, sys, family, pools, lower, colors)
             if isinstance(picked, PipelineFailure):
-                return replace(picked, round=round_number)
+                return picked.replace(round=round_number)
             pools[family].append(picked)
             lower = picked
     families = tuple(
@@ -631,8 +628,7 @@ def make_witness_tuples(sys: FamilySystem, l_prime: int, l: int, count: int):
     return a_tuples, b_tuples
 
 
-@dataclass(frozen=True)
-class PipelineRCertificate:
+class PipelineRCertificate(Record):
     families: FamilySystem
     rho_levels: tuple[int, ...]
     l_prime: int

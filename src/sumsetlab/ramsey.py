@@ -45,9 +45,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
+
+from .record import Record
 
 FULL_SCAN_POINTS = 24
 FULL_SCAN_ARITY = 4
@@ -112,8 +113,7 @@ class TupleColoring:
         return cached
 
 
-@dataclass(frozen=True)
-class HomogeneousSet:
+class HomogeneousSet(Record):
     """Members (and optionally a designated top above them) plus the constant
     color seen by each covered coloring."""
 
@@ -129,8 +129,7 @@ class HomogeneousSet:
         return self.members if self.top is None else self.members + (self.top,)
 
 
-@dataclass(frozen=True)
-class NoHomogeneousSet:
+class NoHomogeneousSet(Record):
     """Failure outcome; exhaustive is False when a budget cut the search off."""
 
     reason: str

@@ -63,10 +63,11 @@ from __future__ import annotations
 import json
 import os
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+from .record import Record
 
 FORCED = "FORCED"
 ESCAPABLE = "ESCAPABLE"
@@ -75,8 +76,7 @@ UNDECIDED = "UNDECIDED"
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
 
-@dataclass(frozen=True)
-class NatColoring:
+class NatColoring(Record):
     """Coloring of {1..M}; colors[i-1] is the color of i."""
 
     r: int
@@ -145,8 +145,7 @@ def has_mono_sumset(coloring: NatColoring, k: int, x_max: int | None = None):
         y += 1
 
 
-@dataclass(frozen=True)
-class BadSearch:
+class BadSearch(Record):
     """Outcome of a bad-coloring hunt; exhausted distinguishes a completed
     scan from a budget cutoff when no coloring was found."""
 
@@ -319,8 +318,7 @@ def find_bad_coloring(
     return BadSearch(coloring=None, exhausted=True, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class ThresholdRecord:
+class ThresholdRecord(Record):
     """One row of a scan; a witness is the least bad coloring of {1..M}."""
 
     k: int
@@ -328,9 +326,11 @@ class ThresholdRecord:
     M: int
     verdict: str
     witness: NatColoring | None
+    nodes: int
     # Every schedule counts the tasks up to the deciding one, but a resumed
-    # run skips the tasks its checkpoint marks finished, so they are diagnostics only.
-    nodes: int = field(compare=False)
+    # run skips the tasks its checkpoint marks finished, so nodes are
+    # diagnostics only and take no part in equality or hashing.
+    _uncompared = ("nodes",)
 
     def __post_init__(self):
         if self.verdict not in (FORCED, ESCAPABLE, UNDECIDED):

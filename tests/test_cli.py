@@ -784,18 +784,38 @@ def test_construct_r_refuses_its_own_witness_under_a_false_declaration(
     assert list(tmp_path.iterdir()) == []
 
 
+KNOWN_KINDS = "a certificate is a JSON object whose kind is one of construct-r, construct2, ramsey"
+
+
 def test_verify_unknown_or_broken_files(tmp_path, capsys):
-    assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_USAGE
-    junk = tmp_path / "junk.json"
-    junk.write_text("not json at all")
-    assert main(["verify", str(junk)]) == EXIT_USAGE
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"kind": "mystery"}))
-    assert main(["verify", str(unknown)]) == EXIT_USAGE
-    unhashable = tmp_path / "unhashable.json"
-    unhashable.write_text(json.dumps({"kind": ["construct2"]}))
-    assert main(["verify", str(unhashable)]) == EXIT_USAGE
-    capsys.readouterr()
+    # Each ends in one error line naming the file, with no exception repr.
+    cases = [
+        ("thresholds.csv", lambda path: run_ok(["search", "--k", "2", "--r", "2", "--m-max", "5",
+                                                "--out", str(path)]), "it is not JSON"),
+        ("assignment.json", lambda path: run_ok(["deltasys", "--E", "0,1,2,3", "--d", "2",
+                                                 "--pad", "1,1,1", "--out", str(path)]),
+         KNOWN_KINDS),
+        ("junk.json", lambda path: path.write_text("not json at all"), "it is not JSON"),
+        ("latin1.json", lambda path: path.write_bytes(b"\xff\xfe\xe9"), "it is not JSON"),
+        ("deep.json", lambda path: path.write_text("[" * 100_000), "its JSON nests too deeply"),
+        ("list.json", lambda path: path.write_text("[1, 2]\n"), KNOWN_KINDS),
+        ("unknown.json", lambda path: path.write_text(json.dumps({"kind": "mystery"})),
+         KNOWN_KINDS),
+        ("unhashable.json", lambda path: path.write_text(json.dumps({"kind": ["construct2"]})),
+         KNOWN_KINDS),
+    ]
+    for name, make, reason in cases:
+        path = tmp_path / name
+        make(path)
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == EXIT_USAGE, name
+        assert capsys.readouterr() == (
+            "", f"sumsetlab: error: {path} is not a certificate: {reason}\n"
+        )
+    missing = tmp_path / "missing.json"
+    assert main(["verify", str(missing)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"sumsetlab: error: cannot read {missing}: No such file or directory\n"
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +865,18 @@ for _ in range(3):
     counts = [int(line) for line in done.stdout.splitlines() if line.isdigit()]
     # The top-level parser and one per subcommand, built at the first call.
     assert counts == [0, 7, 7, 7]
+
+
+def test_importing_the_cli_loads_no_dataclasses(tmp_path):
+    # The records generate no code, so dataclasses (and the inspect, ast
+    # and dis it pulls in) stay out of a fresh interpreter.
+    src = str(Path(sumsetlab.cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sumsetlab.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "'dataclasses'" not in done.stdout
 
 
 USAGE_ERRORS = [
